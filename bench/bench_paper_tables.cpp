@@ -159,9 +159,9 @@ FarmRun runFarm(const std::vector<frontend::InputFile> &Inputs,
   Session S(Opts);
   FarmRun R;
   auto Start = std::chrono::steady_clock::now();
-  Session::CheckFilesOutcome Out = S.checkFiles(Inputs);
+  Session::FilesOutcome Out = S.checkFiles(Inputs);
   R.Seconds = secondsSince(Start);
-  R.Ok = Out.Load.ok();
+  R.Ok = Out.loaded();
   R.QualErrors = Out.Result.QualErrors;
   for (const Diagnostic &D : S.diags().diagnostics())
     R.Diags += D.str() + "\n";

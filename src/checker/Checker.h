@@ -31,6 +31,7 @@
 #include "qual/QualAST.h"
 #include "support/Diagnostics.h"
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -113,6 +114,45 @@ struct CheckerStats {
   unsigned MemoHits = 0;
   /// printf-style calls whose format parameter is untainted-qualified.
   unsigned FormatStringChecks = 0;
+
+  /// Adds every counter of \p O: the one merge behind sharded checking,
+  /// cached-verdict replay, and multi-TU totals, so a split run sums the
+  /// way a single sequential run counts.
+  CheckerStats &operator+=(const CheckerStats &O) {
+    DerefSites += O.DerefSites;
+    RestrictChecks += O.RestrictChecks;
+    RestrictFailures += O.RestrictFailures;
+    AssignChecks += O.AssignChecks;
+    AssignFailures += O.AssignFailures;
+    RefAssignChecks += O.RefAssignChecks;
+    RefAssignFailures += O.RefAssignFailures;
+    DisallowFailures += O.DisallowFailures;
+    CastsToValueQualified += O.CastsToValueQualified;
+    CastsToRefQualified += O.CastsToRefQualified;
+    ElidedCastChecks += O.ElidedCastChecks;
+    HasQualQueries += O.HasQualQueries;
+    MemoHits += O.MemoHits;
+    FormatStringChecks += O.FormatStringChecks;
+    return *this;
+  }
+};
+
+/// A verdict reduced to counts: what outlives the program it was computed
+/// on (the record lists of CheckResult hold AST pointers).
+struct CheckCounts {
+  unsigned QualErrors = 0;
+  CheckerStats Stats;
+  uint64_t RuntimeCheckCount = 0;
+  uint64_t FailureCount = 0;
+
+  bool ok() const { return QualErrors == 0; }
+  CheckCounts &operator+=(const CheckCounts &O) {
+    QualErrors += O.QualErrors;
+    Stats += O.Stats;
+    RuntimeCheckCount += O.RuntimeCheckCount;
+    FailureCount += O.FailureCount;
+    return *this;
+  }
 };
 
 /// Result of running the extensible typechecker.
@@ -124,6 +164,9 @@ struct CheckResult {
   std::vector<QualFailure> Failures;
 
   bool ok() const { return QualErrors == 0; }
+  CheckCounts counts() const {
+    return {QualErrors, Stats, RuntimeChecks.size(), Failures.size()};
+  }
 };
 
 /// The extensible typechecker. One instance per (program, qualifier set)

@@ -303,40 +303,6 @@ void hashCallees(Hasher &H, std::vector<std::string> Callees,
   }
 }
 
-CachedVerdict toVerdict(unsigned QualErrors, const CheckerStats &Stats,
-                        size_t RuntimeChecks, size_t Failures,
-                        const std::vector<Diagnostic> &Diags) {
-  CachedVerdict V;
-  V.QualErrors = QualErrors;
-  V.Stats = Stats;
-  V.RuntimeCheckCount = RuntimeChecks;
-  V.FailureCount = Failures;
-  V.Diags = Diags;
-  return V;
-}
-
-void mergeVerdict(RecheckResult &Into, const CachedVerdict &V) {
-  Into.QualErrors += V.QualErrors;
-  CheckerStats &A = Into.Stats;
-  const CheckerStats &B = V.Stats;
-  A.DerefSites += B.DerefSites;
-  A.RestrictChecks += B.RestrictChecks;
-  A.RestrictFailures += B.RestrictFailures;
-  A.AssignChecks += B.AssignChecks;
-  A.AssignFailures += B.AssignFailures;
-  A.RefAssignChecks += B.RefAssignChecks;
-  A.RefAssignFailures += B.RefAssignFailures;
-  A.DisallowFailures += B.DisallowFailures;
-  A.CastsToValueQualified += B.CastsToValueQualified;
-  A.CastsToRefQualified += B.CastsToRefQualified;
-  A.ElidedCastChecks += B.ElidedCastChecks;
-  A.HasQualQueries += B.HasQualQueries;
-  A.MemoHits += B.MemoHits;
-  A.FormatStringChecks += B.FormatStringChecks;
-  Into.RuntimeCheckCount += V.RuntimeCheckCount;
-  Into.FailureCount += V.FailureCount;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -546,10 +512,9 @@ RecheckResult Engine::recheck(const std::string &Unit, cminus::Program &Prog,
   S.Steals = PoolStats.Steals;
 
   for (size_t J = 0; J < Miss.size(); ++J) {
-    CheckResult &R = Runs[J].Result;
-    Verdicts[Miss[J]] =
-        toVerdict(R.QualErrors, R.Stats, R.RuntimeChecks.size(),
-                  R.Failures.size(), Runs[J].Diags.diagnostics());
+    CachedVerdict &V = Verdicts[Miss[J]];
+    static_cast<CheckCounts &>(V) = Runs[J].Result.counts();
+    V.Diags = Runs[J].Diags.diagnostics();
     if (!Bypass)
       S.Evictions += insert(Keys[Miss[J]], Verdicts[Miss[J]]);
   }
@@ -561,7 +526,7 @@ RecheckResult Engine::recheck(const std::string &Unit, cminus::Program &Prog,
   for (size_t I = 0; I < Units; ++I) {
     for (const Diagnostic &D : Verdicts[I].Diags)
       Diags.report(D);
-    mergeVerdict(Result, Verdicts[I]);
+    Result += Verdicts[I];
   }
   return Result;
 }

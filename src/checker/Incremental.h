@@ -112,24 +112,13 @@ private:
 /// One cached work-item verdict. Counters and diagnostics by value;
 /// RuntimeChecks/Failures are reduced to counts because their elements
 /// hold AST pointers that would dangle across parses.
-struct CachedVerdict {
-  unsigned QualErrors = 0;
-  CheckerStats Stats;
-  uint64_t RuntimeCheckCount = 0;
-  uint64_t FailureCount = 0;
+struct CachedVerdict : CheckCounts {
   std::vector<Diagnostic> Diags;
 };
 
 /// Result of one incremental re-check: the same shape execCheck consumes,
 /// minus the AST-pointer record lists (counts instead).
-struct RecheckResult {
-  unsigned QualErrors = 0;
-  CheckerStats Stats;
-  uint64_t RuntimeCheckCount = 0;
-  uint64_t FailureCount = 0;
-
-  bool ok() const { return QualErrors == 0; }
-};
+using RecheckResult = CheckCounts;
 
 /// Counters describing one recheck() call; Session publishes these as the
 /// incremental.* metrics (docs/OBSERVABILITY.md).

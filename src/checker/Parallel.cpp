@@ -16,24 +16,7 @@ namespace {
 /// Accumulates \p From into \p Into: counters add, record lists append.
 void mergeResult(CheckResult &Into, CheckResult &From) {
   Into.QualErrors += From.QualErrors;
-
-  CheckerStats &A = Into.Stats;
-  const CheckerStats &B = From.Stats;
-  A.DerefSites += B.DerefSites;
-  A.RestrictChecks += B.RestrictChecks;
-  A.RestrictFailures += B.RestrictFailures;
-  A.AssignChecks += B.AssignChecks;
-  A.AssignFailures += B.AssignFailures;
-  A.RefAssignChecks += B.RefAssignChecks;
-  A.RefAssignFailures += B.RefAssignFailures;
-  A.DisallowFailures += B.DisallowFailures;
-  A.CastsToValueQualified += B.CastsToValueQualified;
-  A.CastsToRefQualified += B.CastsToRefQualified;
-  A.ElidedCastChecks += B.ElidedCastChecks;
-  A.HasQualQueries += B.HasQualQueries;
-  A.MemoHits += B.MemoHits;
-  A.FormatStringChecks += B.FormatStringChecks;
-
+  Into.Stats += From.Stats;
   Into.RuntimeChecks.insert(Into.RuntimeChecks.end(),
                             std::make_move_iterator(From.RuntimeChecks.begin()),
                             std::make_move_iterator(From.RuntimeChecks.end()));

@@ -9,9 +9,10 @@
 #include "qual/Builtins.h"
 #include "qual/QualParser.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
 #include "vm/VM.h"
 
-#include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -137,42 +138,11 @@ Session::CheckOutcome Session::check(const std::string &Source) {
                                       Opts.Checker, Opts.Jobs, &Out.Pipeline,
                                       Opts.SharedPool);
   }
-  publishCheckMetrics(Out.FrontEndOk, Out.Result, Out.Pipeline);
+  if (Out.FrontEndOk)
+    publishCheckMetrics(Out.Result.counts(), Out.Pipeline);
   publishDiagMetrics();
   return Out;
 }
-
-namespace {
-
-/// Adds \p B's counters into \p A (the multi-TU merge; mirrors the
-/// parallel checker's own per-shard merge, so a multi-TU verdict sums the
-/// way a single flattened TU would count).
-void mergeCheckerStats(checker::CheckerStats &A, const checker::CheckerStats &B) {
-  A.DerefSites += B.DerefSites;
-  A.RestrictChecks += B.RestrictChecks;
-  A.RestrictFailures += B.RestrictFailures;
-  A.AssignChecks += B.AssignChecks;
-  A.AssignFailures += B.AssignFailures;
-  A.RefAssignChecks += B.RefAssignChecks;
-  A.RefAssignFailures += B.RefAssignFailures;
-  A.DisallowFailures += B.DisallowFailures;
-  A.CastsToValueQualified += B.CastsToValueQualified;
-  A.CastsToRefQualified += B.CastsToRefQualified;
-  A.ElidedCastChecks += B.ElidedCastChecks;
-  A.HasQualQueries += B.HasQualQueries;
-  A.MemoHits += B.MemoHits;
-  A.FormatStringChecks += B.FormatStringChecks;
-}
-
-void mergePipelineStats(checker::ParallelStats &A,
-                        const checker::ParallelStats &B) {
-  A.Units += B.Units;
-  A.Jobs = std::max(A.Jobs, B.Jobs);
-  A.Executed += B.Executed;
-  A.Steals += B.Steals;
-}
-
-} // namespace
 
 frontend::CompileOptions Session::compileOptions() const {
   frontend::CompileOptions CO;
@@ -184,104 +154,41 @@ frontend::CompileOptions Session::compileOptions() const {
   return CO;
 }
 
-void Session::reportUnitDiags(DiagnosticEngine &Unit,
-                              const frontend::TUnit &U) {
-  std::vector<Diagnostic> Ds = Unit.diagnostics();
-  frontend::remapDiagnostics(Ds, 0, U.Name, U.Pp.Map);
-  for (Diagnostic &D : Ds)
-    Diags.report(std::move(D));
-}
-
-Session::LoadOutcome
-Session::load(const std::vector<frontend::InputFile> &Inputs) {
-  LoadOutcome Out;
-  if (!loadQualifiers()) {
-    publishDiagMetrics();
-    return Out;
-  }
-  const frontend::CompileOptions CO = compileOptions();
-  const size_t N = Inputs.size();
-  Out.Units.resize(N);
-  std::vector<DiagnosticEngine> UnitDiags(N);
-  {
-    // Each TU compiles against its own diagnostic engine on the pool;
-    // the ordered merge below restores input-order output, so the fan-out
-    // is invisible in the rendered diagnostics at any job count.
-    stats::ScopedTimer Timer(&Metrics, "phase.frontend_seconds");
-    parallelFor(
-        Opts.Jobs, N,
-        [&](size_t I) {
-          Out.Units[I] = frontend::compileUnit(Inputs[I].Name, Inputs[I].Text,
-                                               CO, UnitDiags[I]);
-        },
-        nullptr, Opts.SharedPool);
-  }
-  Out.FrontEndOk = N > 0;
+/// What one TU's task leaves behind once its AST and preprocessed text are
+/// freed: exactly what the ordered merge needs.
+struct Session::UnitResult {
+  bool FrontEndOk = false;
+  /// Preprocess through verify, remapped to file-attributed coordinates.
+  std::vector<Diagnostic> FrontEndDiags;
+  /// The checker's, remapped; reported only when the whole load is clean.
+  std::vector<Diagnostic> CheckDiags;
   pp::PpStats Pp;
-  for (size_t I = 0; I < N; ++I) {
-    const frontend::TUnit &U = Out.Units[I];
-    reportUnitDiags(UnitDiags[I], U);
-    Out.FrontEndOk = Out.FrontEndOk && U.FrontEndOk;
-    Pp.Files += U.Pp.Stats.Files;
-    Pp.Includes += U.Pp.Stats.Includes;
-    Pp.MacrosDefined += U.Pp.Stats.MacrosDefined;
-    Pp.Expansions += U.Pp.Stats.Expansions;
-    Pp.Conditionals += U.Pp.Stats.Conditionals;
-    Pp.LinesIn += U.Pp.Stats.LinesIn;
-    Pp.LinesOut += U.Pp.Stats.LinesOut;
-  }
-  // Link even when a TU failed its front end: linkUnits skips unparsed
-  // units, and partial-program link errors are still worth reporting.
-  Out.LinkOk = frontend::linkUnits(Out.Units, Diags);
-  publishFrontendMetrics(Out, Pp);
-  publishDiagMetrics();
-  return Out;
-}
+  frontend::LinkSummary Link;
+  checker::CheckCounts Counts;
+  /// Work items checked, and the schedule when the task fanned out.
+  checker::ParallelStats Pipeline;
+  checker::incremental::RecheckStats Incremental;
+};
 
-Session::CheckFilesOutcome
-Session::checkFiles(const std::vector<frontend::InputFile> &Inputs) {
-  CheckFilesOutcome Out;
-  Out.Load = load(Inputs);
-  if (!Out.Load.ok())
-    return Out;
-  {
-    stats::ScopedTimer Timer(&Metrics, "phase.qualcheck_seconds");
-    for (const frontend::TUnit &U : Out.Load.Units) {
-      DiagnosticEngine UnitDiags;
-      checker::ParallelStats PS;
-      checker::CheckResult R = checker::checkProgramParallel(
-          *U.Program, *QualsView, UnitDiags, Opts.Checker, Opts.Jobs, &PS,
-          Opts.SharedPool);
-      reportUnitDiags(UnitDiags, U);
-      Out.Result.QualErrors += R.QualErrors;
-      mergeCheckerStats(Out.Result.Stats, R.Stats);
-      Out.Result.RuntimeChecks.insert(
-          Out.Result.RuntimeChecks.end(),
-          std::make_move_iterator(R.RuntimeChecks.begin()),
-          std::make_move_iterator(R.RuntimeChecks.end()));
-      Out.Result.Failures.insert(Out.Result.Failures.end(),
-                                 std::make_move_iterator(R.Failures.begin()),
-                                 std::make_move_iterator(R.Failures.end()));
-      mergePipelineStats(Out.Pipeline, PS);
-    }
-  }
-  publishCheckMetrics(true, Out.Result, Out.Pipeline);
-  publishDiagMetrics();
-  return Out;
-}
+void Session::checkUnit(const frontend::InputFile &In,
+                        const frontend::CompileOptions &CO, unsigned Jobs,
+                        checker::incremental::Engine *Store, UnitResult &R) {
+  trace::Span Span("tu");
+  if (Span.active())
+    Span.detail(In.Name);
+  DiagnosticEngine FrontDiags;
+  frontend::TUnit U =
+      frontend::compileUnit(In.Name, In.Text, CO, FrontDiags, &Metrics);
+  R.FrontEndOk = U.FrontEndOk;
+  R.Pp = U.Pp.Stats;
+  R.Link = frontend::summarizeUnit(U);
+  R.FrontEndDiags = FrontDiags.diagnostics();
+  frontend::remapDiagnostics(R.FrontEndDiags, 0, U.Name, U.Pp.Map);
 
-Session::RecheckFilesOutcome
-Session::recheckFiles(const std::vector<frontend::InputFile> &Inputs) {
-  RecheckFilesOutcome Out;
-  Out.Load = load(Inputs);
-  if (!Out.Load.ok())
-    return Out;
-  {
+  if (U.FrontEndOk) {
     stats::ScopedTimer Timer(&Metrics, "phase.qualcheck_seconds");
-    checker::incremental::Engine &Engine = incrementalEngine();
-    for (const frontend::TUnit &U : Out.Load.Units) {
-      DiagnosticEngine UnitDiags;
-      checker::incremental::RecheckStats RS;
+    DiagnosticEngine CheckDiags;
+    if (Store) {
       // The TU's post-preprocess stream hash re-keys every work item in
       // the unit: a header edit dirties every includer.
       checker::incremental::Hash128 Seed;
@@ -292,27 +199,128 @@ Session::recheckFiles(const std::vector<frontend::InputFile> &Inputs) {
       std::string Unit = Opts.IncrementalUnit.empty()
                              ? U.Name
                              : Opts.IncrementalUnit + "/" + U.Name;
-      checker::incremental::RecheckResult R =
-          Engine.recheck(Unit, *U.Program, *QualsView, UnitDiags,
-                         Opts.Checker, Opts.Jobs, &RS, Opts.SharedPool, &Seed);
-      reportUnitDiags(UnitDiags, U);
-      Out.Result.QualErrors += R.QualErrors;
-      mergeCheckerStats(Out.Result.Stats, R.Stats);
-      Out.Result.RuntimeCheckCount += R.RuntimeCheckCount;
-      Out.Result.FailureCount += R.FailureCount;
-      Out.Stats.Units += RS.Units;
-      Out.Stats.Hits += RS.Hits;
-      Out.Stats.Rechecked += RS.Rechecked;
-      Out.Stats.SignatureDirtied += RS.SignatureDirtied;
-      Out.Stats.Evictions += RS.Evictions;
-      Out.Stats.Jobs = std::max(Out.Stats.Jobs, RS.Jobs);
-      Out.Stats.Executed += RS.Executed;
-      Out.Stats.Steals += RS.Steals;
+      R.Counts = Store->recheck(Unit, *U.Program, *QualsView, CheckDiags,
+                                Opts.Checker, Jobs, &R.Incremental,
+                                Opts.SharedPool, &Seed);
+      R.Pipeline = {R.Incremental.Units, R.Incremental.Jobs,
+                    R.Incremental.Executed, R.Incremental.Steals};
+    } else {
+      R.Counts = checker::checkProgramParallel(*U.Program, *QualsView,
+                                               CheckDiags, Opts.Checker, Jobs,
+                                               &R.Pipeline, Opts.SharedPool)
+                     .counts();
     }
+    R.CheckDiags = CheckDiags.diagnostics();
+    frontend::remapDiagnostics(R.CheckDiags, 0, U.Name, U.Pp.Map);
   }
-  publishRecheckMetrics(true, Out.Result, Out.Stats);
+
+  trace::Span FreeSpan("free");
+  stats::ScopedTimer Timer(&Metrics, "phase.free_seconds");
+  U = {};
+}
+
+Session::FilesOutcome
+Session::checkUnits(const std::vector<frontend::InputFile> &Inputs,
+                    checker::incremental::Engine *Store) {
+  FilesOutcome Out;
+  if (!loadQualifiers()) {
+    publishDiagMetrics();
+    return Out;
+  }
+  const frontend::CompileOptions CO = compileOptions();
+  const size_t N = Inputs.size();
+  const unsigned Jobs = Opts.Jobs == 0 ? 1 : Opts.Jobs;
+  // parallelFor runs a lone task inline on this thread, so a single TU
+  // may fan its functions out over the workers. Any other task checks
+  // with one job: a TaskGroup task must not fan out again.
+  const unsigned TaskJobs = N == 1 ? Jobs : 1;
+
+  std::vector<UnitResult> Units(N);
+  std::atomic<unsigned> Live{0}, PeakLive{0};
+  ThreadPool::PoolStats Fanout;
+  {
+    trace::Span Span("fanout");
+    stats::ScopedTimer Timer(&Metrics, "phase.fanout_seconds");
+    parallelFor(
+        Jobs, N,
+        [&](size_t I) {
+          unsigned Now = Live.fetch_add(1) + 1;
+          unsigned Peak = PeakLive.load();
+          while (Now > Peak && !PeakLive.compare_exchange_weak(Peak, Now)) {
+          }
+          checkUnit(Inputs[I], CO, TaskJobs, Store, Units[I]);
+          Live.fetch_sub(1);
+        },
+        &Fanout, Opts.SharedPool);
+  }
+  Metrics.set("frontend.live_units_peak", PeakLive.load());
+
+  // The serial tail, in the order a load-then-check pipeline reports:
+  // front-end diagnostics by input, link errors, then checker output only
+  // for a clean load.
+  std::vector<frontend::LinkSummary> Links(N);
+  for (size_t I = 0; I < N; ++I)
+    Links[I] = std::move(Units[I].Link);
+  DiagnosticEngine LinkDiags;
+  {
+    trace::Span Span("link");
+    stats::ScopedTimer Timer(&Metrics, "phase.link_seconds");
+    Out.LinkOk = frontend::linkSummaries(Links, LinkDiags);
+  }
+  trace::Span Span("merge");
+  stats::ScopedTimer Timer(&Metrics, "phase.merge_seconds");
+  Out.Units = static_cast<unsigned>(N);
+  Out.FrontEndOk = N > 0;
+  pp::PpStats Pp;
+  unsigned UnitsOk = 0;
+  for (UnitResult &U : Units) {
+    for (Diagnostic &D : U.FrontEndDiags)
+      Diags.report(std::move(D));
+    Out.FrontEndOk = Out.FrontEndOk && U.FrontEndOk;
+    UnitsOk += U.FrontEndOk;
+    Pp += U.Pp;
+  }
+  for (const Diagnostic &D : LinkDiags.diagnostics())
+    Diags.report(D);
+  publishFrontendMetrics(N, UnitsOk, Pp);
+  if (Out.loaded()) {
+    checker::incremental::RecheckStats &Incr = Out.Incremental;
+    for (UnitResult &U : Units) {
+      for (Diagnostic &D : U.CheckDiags)
+        Diags.report(std::move(D));
+      Out.Result += U.Counts;
+      Out.Pipeline.Units += U.Pipeline.Units;
+      Incr.Units += U.Incremental.Units;
+      Incr.Hits += U.Incremental.Hits;
+      Incr.Rechecked += U.Incremental.Rechecked;
+      Incr.SignatureDirtied += U.Incremental.SignatureDirtied;
+      Incr.Evictions += U.Incremental.Evictions;
+    }
+    // pool.* describes the fan-out: over TUs, or over a lone TU's
+    // functions when that task fanned out itself.
+    Out.Pipeline.Jobs = Jobs;
+    Out.Pipeline.Executed = N == 1 ? Units[0].Pipeline.Executed
+                                   : Fanout.Executed;
+    Out.Pipeline.Steals = N == 1 ? Units[0].Pipeline.Steals : Fanout.Steals;
+    Incr.Jobs = Jobs;
+    Incr.Executed = Out.Pipeline.Executed;
+    Incr.Steals = Out.Pipeline.Steals;
+    publishCheckMetrics(Out.Result, Out.Pipeline);
+    if (Store)
+      publishIncrementalMetrics(Incr);
+  }
   publishDiagMetrics();
   return Out;
+}
+
+Session::FilesOutcome
+Session::checkFiles(const std::vector<frontend::InputFile> &Inputs) {
+  return checkUnits(Inputs, nullptr);
+}
+
+Session::FilesOutcome
+Session::recheckFiles(const std::vector<frontend::InputFile> &Inputs) {
+  return checkUnits(Inputs, &incrementalEngine());
 }
 
 checker::incremental::Engine &Session::incrementalEngine() {
@@ -336,7 +344,11 @@ Session::RecheckOutcome Session::recheck(const std::string &Source) {
         Opts.IncrementalUnit, *Out.Program, *QualsView, Diags, Opts.Checker,
         Opts.Jobs, &Out.Stats, Opts.SharedPool);
   }
-  publishRecheckMetrics(Out.FrontEndOk, Out.Result, Out.Stats);
+  if (Out.FrontEndOk) {
+    publishCheckMetrics(Out.Result, {Out.Stats.Units, Out.Stats.Jobs,
+                                     Out.Stats.Executed, Out.Stats.Steals});
+    publishIncrementalMetrics(Out.Stats);
+  }
   publishDiagMetrics();
   return Out;
 }
@@ -501,11 +513,8 @@ Session::InferenceReport Session::infer(const std::string &Source) {
   return Out;
 }
 
-void Session::publishCheckMetrics(bool FrontEndOk,
-                                  const checker::CheckResult &Result,
+void Session::publishCheckMetrics(const checker::CheckCounts &Result,
                                   const checker::ParallelStats &Pipeline) {
-  if (!FrontEndOk)
-    return;
   const checker::CheckerStats &S = Result.Stats;
   Metrics.set("check.units", Pipeline.Units);
   Metrics.set("check.qual_errors", Result.QualErrors);
@@ -521,7 +530,7 @@ void Session::publishCheckMetrics(bool FrontEndOk,
   Metrics.set("check.casts_to_ref_qualified", S.CastsToRefQualified);
   Metrics.set("check.elided_cast_checks", S.ElidedCastChecks);
   Metrics.set("check.format_string_checks", S.FormatStringChecks);
-  Metrics.set("check.runtime_checks", Result.RuntimeChecks.size());
+  Metrics.set("check.runtime_checks", Result.RuntimeCheckCount);
   // Scheduling-dependent counters (see docs/OBSERVABILITY.md): the
   // hasQualifier memo is per checker instance, and pool accounting
   // depends on the job count by definition.
@@ -532,38 +541,13 @@ void Session::publishCheckMetrics(bool FrontEndOk,
   Metrics.set("pool.steals", Pipeline.Steals);
 }
 
-void Session::publishRecheckMetrics(
-    bool FrontEndOk, const checker::incremental::RecheckResult &Result,
+void Session::publishIncrementalMetrics(
     const checker::incremental::RecheckStats &Stats) {
-  if (!FrontEndOk)
-    return;
-  // The check.* counters mirror publishCheckMetrics exactly: a recheck is
-  // the same verdict, so metrics-invariant counters must agree with a cold
-  // check() byte for byte (the edit-replay harness pins this down).
-  const checker::CheckerStats &S = Result.Stats;
-  Metrics.set("check.units", Stats.Units);
-  Metrics.set("check.qual_errors", Result.QualErrors);
-  Metrics.set("check.deref_sites", S.DerefSites);
-  Metrics.set("check.restrict_checks", S.RestrictChecks);
-  Metrics.set("check.restrict_failures", S.RestrictFailures);
-  Metrics.set("check.assign_checks", S.AssignChecks);
-  Metrics.set("check.assign_failures", S.AssignFailures);
-  Metrics.set("check.ref_assign_checks", S.RefAssignChecks);
-  Metrics.set("check.ref_assign_failures", S.RefAssignFailures);
-  Metrics.set("check.disallow_failures", S.DisallowFailures);
-  Metrics.set("check.casts_to_value_qualified", S.CastsToValueQualified);
-  Metrics.set("check.casts_to_ref_qualified", S.CastsToRefQualified);
-  Metrics.set("check.elided_cast_checks", S.ElidedCastChecks);
-  Metrics.set("check.format_string_checks", S.FormatStringChecks);
-  Metrics.set("check.runtime_checks", Result.RuntimeCheckCount);
-  Metrics.set("check.memo.has_qual_queries", S.HasQualQueries);
-  Metrics.set("check.memo.hits", S.MemoHits);
-  Metrics.set("pool.jobs", Stats.Jobs);
-  Metrics.set("pool.executed", Stats.Executed);
-  Metrics.set("pool.steals", Stats.Steals);
   // incremental.*: how much of the unit the store saved us. Scheduling- and
   // history-dependent by design, so they sit behind the same metrics
-  // exclusion as pool.* (docs/OBSERVABILITY.md).
+  // exclusion as pool.* (docs/OBSERVABILITY.md). The check.* counters a
+  // recheck publishes beside them match a cold check() byte for byte (the
+  // edit-replay harness pins this down).
   checker::incremental::Engine &E = incrementalEngine();
   Metrics.set("incremental.units", Stats.Units);
   Metrics.set("incremental.hits", Stats.Hits);
@@ -574,7 +558,7 @@ void Session::publishRecheckMetrics(
   Metrics.set("incremental.store.evictions", E.evictions());
 }
 
-void Session::publishFrontendMetrics(const LoadOutcome &Out,
+void Session::publishFrontendMetrics(size_t Units, unsigned UnitsOk,
                                      const pp::PpStats &Pp) {
   Metrics.set("pp.files", Pp.Files);
   Metrics.set("pp.includes", Pp.Includes);
@@ -583,11 +567,8 @@ void Session::publishFrontendMetrics(const LoadOutcome &Out,
   Metrics.set("pp.conditionals", Pp.Conditionals);
   Metrics.set("pp.lines_in", Pp.LinesIn);
   Metrics.set("pp.lines_out", Pp.LinesOut);
-  uint64_t Ok = 0;
-  for (const frontend::TUnit &U : Out.Units)
-    Ok += U.FrontEndOk;
-  Metrics.set("frontend.units", Out.Units.size());
-  Metrics.set("frontend.units_ok", Ok);
+  Metrics.set("frontend.units", Units);
+  Metrics.set("frontend.units_ok", UnitsOk);
   Metrics.set("frontend.link_errors", Diags.countInPhase("link"));
 }
 

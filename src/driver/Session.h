@@ -103,7 +103,7 @@ struct SessionOptions {
   /// entirely.
   std::string CacheFile;
 
-  /// Multi-input front end (load/checkFiles/recheckFiles): `-I` include
+  /// Multi-input pipeline (checkFiles/recheckFiles): `-I` include
   /// search directories and `-D` predefines ("NAME" or "NAME=VALUE"), in
   /// command-line order.
   std::vector<std::string> IncludeDirs;
@@ -200,49 +200,44 @@ public:
   /// check() on the same source at any job count.
   RecheckOutcome recheck(const std::string &Source);
 
-  /// Result of load(): every input compiled as its own translation unit,
-  /// plus the cross-TU link step's verdict.
-  struct LoadOutcome {
+  /// Result of checkFiles()/recheckFiles(): the multi-TU verdict merged
+  /// over every TU in input order. Counts only: each TU's AST is freed by
+  /// the task that built it, before the call returns.
+  struct FilesOutcome {
     /// Every TU preprocessed/parsed/sema'd/lowered/verified clean.
     bool FrontEndOk = false;
     /// The cross-TU symbol resolution found no conflicts.
     bool LinkOk = false;
-    bool ok() const { return FrontEndOk && LinkOk; }
-    std::vector<frontend::TUnit> Units;
-  };
-  /// The real-C multi-TU front end: each input is preprocessed
-  /// (SessionOptions::IncludeDirs/Defines), parsed, sema-checked, and
-  /// lowered as an independent TU, fanned over `Jobs` workers; per-TU
-  /// diagnostics are remapped to file-attributed user coordinates and
-  /// merged in input order (byte-identical at any job count), and
-  /// frontend::linkUnits then unifies the per-TU symbol tables.
-  LoadOutcome load(const std::vector<frontend::InputFile> &Inputs);
-
-  /// Result of checkFiles(): the multi-TU load plus the typechecker's
-  /// verdict merged over every TU in input order.
-  struct CheckFilesOutcome {
-    LoadOutcome Load;
-    checker::CheckResult Result;
+    /// Translation units compiled (one per input).
+    unsigned Units = 0;
+    /// The checker's verdict summed over every TU; all zero unless
+    /// loaded() (checker output is withheld from a failed load).
+    checker::CheckCounts Result;
+    /// Work items checked (check.units) and the TU fan-out's schedule.
     checker::ParallelStats Pipeline;
-    bool ok() const { return Load.ok() && Result.ok(); }
-  };
-  /// Multi-TU front end + extensible typechecker over every unit (TUs in
-  /// input order, each sharded over `Jobs` workers).
-  CheckFilesOutcome checkFiles(const std::vector<frontend::InputFile> &Inputs);
+    /// recheckFiles() only: what the verdict store served, summed over TUs.
+    checker::incremental::RecheckStats Incremental;
 
-  /// Result of recheckFiles(): as checkFiles(), but through the
-  /// incremental engine (record lists are counts).
-  struct RecheckFilesOutcome {
-    LoadOutcome Load;
-    checker::incremental::RecheckResult Result;
-    checker::incremental::RecheckStats Stats;
-    bool ok() const { return Load.ok() && Result.ok(); }
+    bool loaded() const { return FrontEndOk && LinkOk; }
+    bool ok() const { return loaded() && Result.ok(); }
   };
-  /// Multi-TU front end + incremental re-check. Every work item's content
-  /// hash folds in its TU's post-preprocess stream hash, so editing a
-  /// header re-checks every translation unit that includes it.
-  RecheckFilesOutcome
-  recheckFiles(const std::vector<frontend::InputFile> &Inputs);
+  /// The real-C multi-TU pipeline. Each input is one pool task (over
+  /// `Jobs` workers) that preprocesses it (SessionOptions::IncludeDirs/
+  /// Defines), parses, sema-checks, lowers, verifies, and checks it, then
+  /// frees its AST and preprocessed text on the thread that built them,
+  /// keeping only remapped diagnostics, counts, and a link summary. So
+  /// about `Jobs` TUs are alive at once. A serial tail then reports
+  /// front-end diagnostics in input order, links the summaries
+  /// (frontend::linkSummaries), and reports checker diagnostics only when
+  /// every TU compiled and linked clean: byte-identical output at any job
+  /// count. A task checks with one job, except a lone TU, which spreads
+  /// its functions over the `Jobs` workers.
+  FilesOutcome checkFiles(const std::vector<frontend::InputFile> &Inputs);
+  /// checkFiles() through the incremental verdict store. Every work item's
+  /// content hash folds in its TU's post-preprocess stream hash, so
+  /// editing a header re-checks every translation unit that includes it.
+  /// Output is byte-identical to checkFiles() on the same inputs.
+  FilesOutcome recheckFiles(const std::vector<frontend::InputFile> &Inputs);
 
   /// Result of frontEnd().
   struct FrontEndOutcome {
@@ -310,17 +305,22 @@ private:
   /// parse + sema + lower + verify, recording phase.*_seconds.
   std::unique_ptr<cminus::Program> frontEnd(const std::string &Source,
                                             bool &Ok);
-  /// The shared per-TU compile configuration for load().
+  /// The shared per-TU compile configuration for checkFiles().
   frontend::CompileOptions compileOptions() const;
-  /// Remaps \p Unit's diagnostics through \p U's line map and re-reports
-  /// them into the session engine.
-  void reportUnitDiags(DiagnosticEngine &Unit, const frontend::TUnit &U);
-  void publishCheckMetrics(bool FrontEndOk, const checker::CheckResult &Result,
+  struct UnitResult;
+  /// The one multi-TU pipeline behind checkFiles() (\p Store null) and
+  /// recheckFiles().
+  FilesOutcome checkUnits(const std::vector<frontend::InputFile> &Inputs,
+                          checker::incremental::Engine *Store);
+  /// One TU's task: compile, check with \p Jobs, free.
+  void checkUnit(const frontend::InputFile &In,
+                 const frontend::CompileOptions &CO, unsigned Jobs,
+                 checker::incremental::Engine *Store, UnitResult &R);
+  void publishCheckMetrics(const checker::CheckCounts &Result,
                            const checker::ParallelStats &Pipeline);
-  void publishRecheckMetrics(bool FrontEndOk,
-                             const checker::incremental::RecheckResult &Result,
-                             const checker::incremental::RecheckStats &Stats);
-  void publishFrontendMetrics(const LoadOutcome &Out, const pp::PpStats &Pp);
+  void publishIncrementalMetrics(const checker::incremental::RecheckStats &S);
+  void publishFrontendMetrics(size_t Units, unsigned UnitsOk,
+                              const pp::PpStats &Pp);
   /// The engine recheck() uses: the shared one when wired, else a lazily
   /// created session-owned engine.
   checker::incremental::Engine &incrementalEngine();

@@ -254,7 +254,7 @@ EvalRow stq::eval::evalProgram(const ProgramSpec &Spec,
   {
     Session S(SOpts);
     auto Start = std::chrono::steady_clock::now();
-    Session::CheckFilesOutcome OutC = S.checkFiles(Inputs);
+    Session::FilesOutcome OutC = S.checkFiles(Inputs);
     Row.Seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
             .count();
@@ -270,7 +270,7 @@ EvalRow stq::eval::evalProgram(const ProgramSpec &Spec,
     Row.CheckOk = true;
     Row.Derefs = OutC.Result.Stats.DerefSites;
     Row.AssignChecks = OutC.Result.Stats.AssignChecks;
-    Row.RuntimeChecks = OutC.Result.RuntimeChecks.size();
+    Row.RuntimeChecks = OutC.Result.RuntimeCheckCount;
     Row.Errors = OutC.Result.QualErrors;
     Row.ExitCode = OutC.Result.ok() ? 0 : 1;
   }

@@ -6,8 +6,11 @@
 #include "cminus/Parser.h"
 #include "cminus/Sema.h"
 #include "cminus/Type.h"
+#include "support/Stats.h"
+#include "support/Trace.h"
 
-#include <map>
+#include <string_view>
+#include <unordered_map>
 
 using namespace stq;
 using namespace stq::frontend;
@@ -15,7 +18,8 @@ using namespace stq::frontend;
 TUnit stq::frontend::compileUnit(const std::string &Name,
                                  const std::string &Text,
                                  const CompileOptions &Opts,
-                                 DiagnosticEngine &Diags) {
+                                 DiagnosticEngine &Diags,
+                                 stats::Registry *Metrics) {
   TUnit U;
   U.Name = Name;
   static const pp::FileMap EmptyMap;
@@ -23,16 +27,29 @@ TUnit stq::frontend::compileUnit(const std::string &Name,
   pp::MemoryResolver Shipped(Opts.Files ? *Opts.Files : EmptyMap);
   pp::FileResolver *R = Opts.Files ? static_cast<pp::FileResolver *>(&Shipped)
                                    : &Disk;
-  U.Pp = pp::preprocess(Name, Text, *R, Opts.Pp, Diags);
+  {
+    trace::Span Span("pp");
+    stats::ScopedTimer Timer(Metrics, "phase.pp_seconds");
+    U.Pp = pp::preprocess(Name, Text, *R, Opts.Pp, Diags);
+  }
   if (!U.Pp.Ok)
     return U;
-  U.Program = cminus::parseProgram(U.Pp.Text, Opts.QualNames, Diags);
+  {
+    stats::ScopedTimer Timer(Metrics, "phase.parse_seconds");
+    U.Program = cminus::parseProgram(U.Pp.Text, Opts.QualNames, Diags);
+  }
   if (!U.Program || Diags.hasErrors())
     return U;
-  if (!cminus::runSema(*U.Program, Opts.RefQualNames, Diags))
+  {
+    stats::ScopedTimer Timer(Metrics, "phase.sema_seconds");
+    if (!cminus::runSema(*U.Program, Opts.RefQualNames, Diags))
+      return U;
+  }
+  stats::ScopedTimer Timer(Metrics, "phase.lower_seconds");
+  if (!cminus::lowerProgram(*U.Program, Diags))
     return U;
-  if (!cminus::lowerProgram(*U.Program, Diags) ||
-      !cminus::verifyLoweredProgram(*U.Program, Diags))
+  trace::Span Span("verify");
+  if (!cminus::verifyLoweredProgram(*U.Program, Diags))
     return U;
   U.FrontEndOk = true;
   return U;
@@ -98,36 +115,6 @@ void stq::frontend::remapDiagnostics(std::vector<Diagnostic> &Diags,
 
 namespace {
 
-/// One linked symbol's first sighting.
-struct SymInfo {
-  std::string Sig;   ///< Full qualified type spelling.
-  std::string TU;    ///< Input file that first introduced it.
-  std::string DefTU; ///< Input file that *defined* it (functions/globals).
-  bool Defined = false;
-};
-
-/// The declaration's user-facing location: file + physical line via the
-/// TU's line map, falling back to the TU name.
-void attribute(Diagnostic &D, const TUnit &U, SourceLoc Loc) {
-  if (const pp::LineInfo *Info = U.Pp.Map.info(Loc.Line)) {
-    D.File = U.Pp.Map.file(*Info);
-    D.Loc = SourceLoc(Info->PhysLine, Loc.Col);
-    return;
-  }
-  D.File = U.Name;
-  D.Loc = Loc;
-}
-
-void linkError(DiagnosticEngine &Diags, const TUnit &U, SourceLoc Loc,
-               std::string Message) {
-  Diagnostic D;
-  D.Severity = DiagSeverity::Error;
-  D.Phase = "link";
-  D.Message = std::move(Message);
-  attribute(D, U, Loc);
-  Diags.report(std::move(D));
-}
-
 std::string funcSig(const cminus::FuncDecl &F) {
   std::string Sig = F.type()->str();
   if (F.Variadic)
@@ -142,80 +129,137 @@ std::string structSig(const cminus::StructDef &S) {
   return Sig + " }";
 }
 
+/// A symbol of \p U at \p Loc, attributed to file + physical line through
+/// the TU's line map (the TU name and post-expansion location otherwise).
+LinkSymbol symbol(const TUnit &U, const std::string &Name, std::string Sig,
+                  SourceLoc Loc, bool Defined) {
+  LinkSymbol Sym{Name, std::move(Sig), U.Name, Loc, Defined};
+  if (const pp::LineInfo *Info = U.Pp.Map.info(Loc.Line)) {
+    Sym.File = U.Pp.Map.file(*Info);
+    Sym.Loc = SourceLoc(Info->PhysLine, Loc.Col);
+  }
+  return Sym;
+}
+
+/// One linked symbol's first sighting. The pointers reference the
+/// summaries being linked.
+struct SymInfo {
+  const std::string *Sig = nullptr; ///< Full qualified type spelling.
+  const std::string *TU = nullptr;  ///< Input that first introduced it.
+  /// Input that *defined* it (functions/globals); null until one does.
+  const std::string *DefTU = nullptr;
+  bool Defined = false;
+};
+
+void linkError(DiagnosticEngine &Diags, const LinkSymbol &Sym,
+               std::string Message) {
+  Diagnostic D;
+  D.Severity = DiagSeverity::Error;
+  D.Phase = "link";
+  D.Message = std::move(Message);
+  D.File = Sym.File;
+  D.Loc = Sym.Loc;
+  Diags.report(std::move(D));
+}
+
 } // namespace
 
-bool stq::frontend::linkUnits(const std::vector<TUnit> &TUs,
-                              DiagnosticEngine &Diags) {
+LinkSummary stq::frontend::summarizeUnit(const TUnit &U) {
+  LinkSummary L;
+  L.Unit = U.Name;
+  if (!U.Program)
+    return L;
+  const cminus::Program &P = *U.Program;
+  L.Structs.reserve(P.Structs.size());
+  for (const cminus::StructDef *S : P.Structs)
+    L.Structs.push_back(symbol(U, S->Name, structSig(*S), S->Loc, true));
+  L.Globals.reserve(P.Globals.size());
+  for (const cminus::VarDecl *G : P.Globals)
+    L.Globals.push_back(
+        symbol(U, G->Name, G->DeclaredTy->str(), G->Loc, true));
+  L.Functions.reserve(P.Functions.size());
+  for (const cminus::FuncDecl *F : P.Functions)
+    L.Functions.push_back(
+        symbol(U, F->Name, funcSig(*F), F->Loc, F->isDefinition()));
+  return L;
+}
+
+bool stq::frontend::linkSummaries(const std::vector<LinkSummary> &Units,
+                                  DiagnosticEngine &Diags) {
   unsigned Before = Diags.errorCount();
-  std::map<std::string, SymInfo> Functions, Globals, Structs;
+  // Keyed by views into the summaries; report order follows the input
+  // scan, never the table's iteration order.
+  std::unordered_map<std::string_view, SymInfo> Functions, Globals, Structs;
 
-  for (const TUnit &U : TUs) {
-    if (!U.Program)
-      continue;
-
-    for (const cminus::StructDef *S : U.Program->Structs) {
-      std::string Sig = structSig(*S);
-      auto [It, Inserted] = Structs.try_emplace(S->Name);
+  for (const LinkSummary &U : Units) {
+    for (const LinkSymbol &S : U.Structs) {
+      auto [It, Inserted] = Structs.try_emplace(S.Name);
       SymInfo &Sym = It->second;
       if (Inserted) {
-        Sym = {Sig, U.Name, U.Name, true};
+        Sym = {&S.Sig, &U.Unit, &U.Unit, true};
         continue;
       }
-      if (Sym.Sig != Sig)
-        linkError(Diags, U, S->Loc,
-                  "conflicting definitions of struct '" + S->Name + "': '" +
-                      Sym.Sig + "' (" + Sym.TU + ") vs '" + Sig + "' (" +
-                      U.Name + ")");
+      if (*Sym.Sig != S.Sig)
+        linkError(Diags, S,
+                  "conflicting definitions of struct '" + S.Name + "': '" +
+                      *Sym.Sig + "' (" + *Sym.TU + ") vs '" + S.Sig + "' (" +
+                      U.Unit + ")");
     }
 
-    for (const cminus::VarDecl *G : U.Program->Globals) {
-      std::string Sig = G->DeclaredTy->str();
-      auto [It, Inserted] = Globals.try_emplace(G->Name);
+    for (const LinkSymbol &G : U.Globals) {
+      auto [It, Inserted] = Globals.try_emplace(G.Name);
       SymInfo &Sym = It->second;
       if (Inserted) {
-        Sym = {Sig, U.Name, U.Name, true};
+        Sym = {&G.Sig, &U.Unit, &U.Unit, true};
         continue;
       }
       // C-minus has no `extern`: every global is a definition, so a
       // shared global must live in exactly one TU.
-      linkError(Diags, U, G->Loc,
-                Sym.Sig == Sig
-                    ? "duplicate definition of global '" + G->Name +
-                          "' (already defined in " + Sym.DefTU + ")"
-                    : "conflicting definitions of global '" + G->Name +
-                          "': '" + Sym.Sig + "' (" + Sym.DefTU + ") vs '" +
-                          Sig + "' (" + U.Name + ")");
+      linkError(Diags, G,
+                *Sym.Sig == G.Sig
+                    ? "duplicate definition of global '" + G.Name +
+                          "' (already defined in " + *Sym.DefTU + ")"
+                    : "conflicting definitions of global '" + G.Name +
+                          "': '" + *Sym.Sig + "' (" + *Sym.DefTU + ") vs '" +
+                          G.Sig + "' (" + U.Unit + ")");
     }
 
-    for (const cminus::FuncDecl *F : U.Program->Functions) {
-      std::string Sig = funcSig(*F);
-      auto [It, Inserted] = Functions.try_emplace(F->Name);
+    for (const LinkSymbol &F : U.Functions) {
+      auto [It, Inserted] = Functions.try_emplace(F.Name);
       SymInfo &Sym = It->second;
       if (Inserted) {
-        Sym = {Sig, U.Name, F->isDefinition() ? U.Name : "",
-               F->isDefinition()};
+        Sym = {&F.Sig, &U.Unit, F.Defined ? &U.Unit : nullptr, F.Defined};
         continue;
       }
-      if (Sym.Sig != Sig) {
+      if (*Sym.Sig != F.Sig) {
         // The load-bearing link diagnostic: a caller compiled against a
         // prototype whose qualifiers disagree with another TU's view
         // would silently subvert the checker's guarantees.
-        linkError(Diags, U, F->Loc,
-                  "qualifier signature mismatch for function '" + F->Name +
-                      "': '" + Sym.Sig + "' (" + Sym.TU + ") vs '" + Sig +
-                      "' (" + U.Name + ")");
+        linkError(Diags, F,
+                  "qualifier signature mismatch for function '" + F.Name +
+                      "': '" + *Sym.Sig + "' (" + *Sym.TU + ") vs '" + F.Sig +
+                      "' (" + U.Unit + ")");
         continue;
       }
-      if (F->isDefinition()) {
+      if (F.Defined) {
         if (Sym.Defined)
-          linkError(Diags, U, F->Loc,
-                    "duplicate definition of function '" + F->Name +
-                        "' (already defined in " + Sym.DefTU + ")");
+          linkError(Diags, F,
+                    "duplicate definition of function '" + F.Name +
+                        "' (already defined in " + *Sym.DefTU + ")");
         Sym.Defined = true;
-        if (Sym.DefTU.empty())
-          Sym.DefTU = U.Name;
+        if (!Sym.DefTU)
+          Sym.DefTU = &U.Unit;
       }
     }
   }
   return Diags.errorCount() == Before;
+}
+
+bool stq::frontend::linkUnits(const std::vector<TUnit> &TUs,
+                              DiagnosticEngine &Diags) {
+  std::vector<LinkSummary> Summaries;
+  Summaries.reserve(TUs.size());
+  for (const TUnit &U : TUs)
+    Summaries.push_back(summarizeUnit(U));
+  return linkSummaries(Summaries, Diags);
 }

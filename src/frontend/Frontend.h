@@ -8,10 +8,12 @@
 /// \file
 /// The real-C multi-translation-unit front end: each input file is
 /// preprocessed (src/pp), parsed, sema-checked, and lowered as an
-/// independent TU — stq::Session fans compileUnit() over its worker pool
-/// — and a link step then unifies the per-TU symbol tables, diagnosing
-/// duplicate definitions and qualifier-signature mismatches across TUs
-/// the way a linker would.
+/// independent TU — stq::Session runs compileUnit() inside one pool task
+/// per TU, which also checks the TU and frees it — and a link step then
+/// unifies the per-TU symbol tables, diagnosing duplicate definitions and
+/// qualifier-signature mismatches across TUs the way a linker would. The
+/// link reads LinkSummary values taken while each AST was alive, so it
+/// never needs the ASTs themselves.
 ///
 /// Because the core pipeline's SourceLocs have no file dimension, every
 /// TU-local diagnostic comes out in *post-expansion* coordinates.
@@ -35,6 +37,10 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+namespace stq::stats {
+class Registry;
+}
 
 namespace stq::frontend {
 
@@ -72,9 +78,13 @@ struct TUnit {
 /// Compiles one TU: preprocess, parse, sema, lower, verify. Diagnostics
 /// land in \p Diags in TU-local (post-expansion) form — run
 /// remapDiagnostics() over them before rendering. Thread-safe against
-/// other compileUnit() calls on distinct \p Diags engines.
+/// other compileUnit() calls on distinct \p Diags engines. When
+/// \p Metrics is non-null, each stage the TU reaches records one sample
+/// into phase.pp_seconds, phase.parse_seconds, phase.sema_seconds, and
+/// phase.lower_seconds (lower + verify).
 TUnit compileUnit(const std::string &Name, const std::string &Text,
-                  const CompileOptions &Opts, DiagnosticEngine &Diags);
+                  const CompileOptions &Opts, DiagnosticEngine &Diags,
+                  stats::Registry *Metrics = nullptr);
 
 /// Rewrites \p Diags[From..] from post-expansion coordinates to
 /// file-attributed user coordinates using \p Map, inserting include-chain
@@ -84,15 +94,47 @@ TUnit compileUnit(const std::string &Name, const std::string &Text,
 void remapDiagnostics(std::vector<Diagnostic> &Diags, size_t From,
                       const std::string &MainFile, const pp::LineMap &Map);
 
-/// Cross-TU symbol resolution over compiled units, in input order:
+/// One symbol a TU contributes to the link.
+struct LinkSymbol {
+  std::string Name;
+  /// The full qualified signature: a function's type (", ..." when
+  /// variadic), a global's declared type, or a struct's field list.
+  std::string Sig;
+  /// The declaration's user-facing position: file and physical line via
+  /// the TU's line map, or the TU name and post-expansion location when
+  /// the map has no entry.
+  std::string File;
+  SourceLoc Loc;
+  /// Function definitions only (globals and structs always define).
+  bool Defined = false;
+};
+
+/// What the link needs from one TU, in declaration order. Built while the
+/// TU's AST and line map are alive; self-contained after that.
+struct LinkSummary {
+  /// The input's name, as link diagnostics cite it.
+  std::string Unit;
+  std::vector<LinkSymbol> Structs;
+  std::vector<LinkSymbol> Globals;
+  std::vector<LinkSymbol> Functions;
+};
+
+/// Summarizes \p U for linkSummaries() (empty when the TU never parsed).
+LinkSummary summarizeUnit(const TUnit &U);
+
+/// Cross-TU symbol resolution over per-TU summaries, in input order:
 /// a function may be declared (prototyped) in any number of TUs but
 /// defined in at most one, every declaration must agree on the full
 /// qualified signature (qualifier mismatches across TUs are exactly the
 /// bugs the paper's checker exists to catch, so they are link errors
 /// here), globals may be defined once, and struct definitions shared
 /// through headers must agree field-for-field. Reports phase "link"
-/// errors into \p Diags (already file-attributed via each TU's LineMap);
-/// returns true when no link error was found.
+/// errors into \p Diags (already file-attributed); returns true when no
+/// link error was found.
+bool linkSummaries(const std::vector<LinkSummary> &Units,
+                   DiagnosticEngine &Diags);
+
+/// linkSummaries() over compiled units: summarizes each, then links.
 bool linkUnits(const std::vector<TUnit> &TUs, DiagnosticEngine &Diags);
 
 } // namespace stq::frontend

@@ -146,6 +146,17 @@ struct PpStats {
   uint64_t Conditionals = 0; ///< #if/#ifdef/#ifndef directives evaluated.
   uint64_t LinesIn = 0;     ///< Physical input lines consumed.
   uint64_t LinesOut = 0;    ///< Expanded output lines produced.
+
+  PpStats &operator+=(const PpStats &O) {
+    Files += O.Files;
+    Includes += O.Includes;
+    MacrosDefined += O.MacrosDefined;
+    Expansions += O.Expansions;
+    Conditionals += O.Conditionals;
+    LinesIn += O.LinesIn;
+    LinesOut += O.LinesOut;
+    return *this;
+  }
 };
 
 struct PpOptions {

@@ -50,74 +50,43 @@ int execProve(Session &S, const Invocation &Inv, std::ostream &Out,
   return 0;
 }
 
+/// Renders the diagnostics, then the verdict line every check flavour
+/// prints: check, recheck, and their multi-TU forms are byte-identical on
+/// the same input (the fuzz campaign's frontend oracle compares a split
+/// program against its flattened single-TU run this way).
+int reportVerdict(Session &S, const Invocation &Inv,
+                  const checker::CheckCounts &Result, std::ostream &Out,
+                  std::ostream &Err) {
+  reportDiagnostics(S, Inv, Err);
+  if (S.diags().hasErrors()) {
+    emitMetrics(S, Inv, Out);
+    return 2;
+  }
+  Out << "qualifier errors: " << Result.QualErrors << " (dereference sites "
+      << Result.Stats.DerefSites << ", assignment checks "
+      << Result.Stats.AssignChecks << ", run-time checks "
+      << Result.RuntimeCheckCount << ")\n";
+  emitMetrics(S, Inv, Out);
+  return Result.ok() ? 0 : 1;
+}
+
 int execCheck(Session &S, const Invocation &Inv, std::ostream &Out,
               std::ostream &Err) {
-  Session::CheckOutcome OutC = S.check(Inv.Source);
-  reportDiagnostics(S, Inv, Err);
-  if (S.diags().hasErrors()) {
-    emitMetrics(S, Inv, Out);
-    return 2;
-  }
-  Out << "qualifier errors: " << OutC.Result.QualErrors
-      << " (dereference sites " << OutC.Result.Stats.DerefSites
-      << ", assignment checks " << OutC.Result.Stats.AssignChecks
-      << ", run-time checks " << OutC.Result.RuntimeChecks.size() << ")\n";
-  emitMetrics(S, Inv, Out);
-  return OutC.Result.ok() ? 0 : 1;
+  return reportVerdict(S, Inv, S.check(Inv.Source).Result.counts(), Out, Err);
 }
 
-/// Byte-identical to execCheck on the same source: the verdict line prints
-/// the same counters, sourced from the incremental result's counts.
 int execRecheck(Session &S, const Invocation &Inv, std::ostream &Out,
                 std::ostream &Err) {
-  Session::RecheckOutcome OutC = S.recheck(Inv.Source);
-  reportDiagnostics(S, Inv, Err);
-  if (S.diags().hasErrors()) {
-    emitMetrics(S, Inv, Out);
-    return 2;
-  }
-  Out << "qualifier errors: " << OutC.Result.QualErrors
-      << " (dereference sites " << OutC.Result.Stats.DerefSites
-      << ", assignment checks " << OutC.Result.Stats.AssignChecks
-      << ", run-time checks " << OutC.Result.RuntimeCheckCount << ")\n";
-  emitMetrics(S, Inv, Out);
-  return OutC.Result.ok() ? 0 : 1;
+  return reportVerdict(S, Inv, S.recheck(Inv.Source).Result, Out, Err);
 }
 
-/// The multi-TU variants print the same verdict line as execCheck /
-/// execRecheck, with counters merged over every TU in input order — the
-/// fuzz campaign's frontend oracle compares it byte-for-byte against the
-/// flattened single-TU run.
-int execCheckFiles(Session &S, const Invocation &Inv, std::ostream &Out,
-                   std::ostream &Err) {
-  Session::CheckFilesOutcome OutC = S.checkFiles(Inv.Inputs);
-  reportDiagnostics(S, Inv, Err);
-  if (S.diags().hasErrors()) {
-    emitMetrics(S, Inv, Out);
-    return 2;
-  }
-  Out << "qualifier errors: " << OutC.Result.QualErrors
-      << " (dereference sites " << OutC.Result.Stats.DerefSites
-      << ", assignment checks " << OutC.Result.Stats.AssignChecks
-      << ", run-time checks " << OutC.Result.RuntimeChecks.size() << ")\n";
-  emitMetrics(S, Inv, Out);
-  return OutC.Result.ok() ? 0 : 1;
-}
-
-int execRecheckFiles(Session &S, const Invocation &Inv, std::ostream &Out,
-                     std::ostream &Err) {
-  Session::RecheckFilesOutcome OutC = S.recheckFiles(Inv.Inputs);
-  reportDiagnostics(S, Inv, Err);
-  if (S.diags().hasErrors()) {
-    emitMetrics(S, Inv, Out);
-    return 2;
-  }
-  Out << "qualifier errors: " << OutC.Result.QualErrors
-      << " (dereference sites " << OutC.Result.Stats.DerefSites
-      << ", assignment checks " << OutC.Result.Stats.AssignChecks
-      << ", run-time checks " << OutC.Result.RuntimeCheckCount << ")\n";
-  emitMetrics(S, Inv, Out);
-  return OutC.Result.ok() ? 0 : 1;
+/// The multi-TU check: check and recheck differ only in whether the
+/// verdict store is consulted.
+int execCheckFiles(Session &S, const Invocation &Inv, bool Incremental,
+                   std::ostream &Out, std::ostream &Err) {
+  Session::FilesOutcome OutC =
+      Incremental ? S.recheckFiles(Inv.Inputs) : S.checkFiles(Inv.Inputs);
+  return reportVerdict(S, Inv, OutC.Result, Out, Err);
 }
 
 /// The stqd `eval` command: checks one shipped corpus program and returns
@@ -364,12 +333,13 @@ ExecResult stq::server::executeInvocation(const Invocation &Inv,
     Session S(SOpts);
     if (Inv.Command == "prove")
       R.ExitCode = execProve(S, Inv, Out, Err);
+    else if (MultiInput)
+      R.ExitCode =
+          execCheckFiles(S, Inv, Inv.Command == "recheck", Out, Err);
     else if (Inv.Command == "check")
-      R.ExitCode = MultiInput ? execCheckFiles(S, Inv, Out, Err)
-                              : execCheck(S, Inv, Out, Err);
+      R.ExitCode = execCheck(S, Inv, Out, Err);
     else if (Inv.Command == "recheck")
-      R.ExitCode = MultiInput ? execRecheckFiles(S, Inv, Out, Err)
-                              : execRecheck(S, Inv, Out, Err);
+      R.ExitCode = execRecheck(S, Inv, Out, Err);
     else if (Inv.Command == "run")
       R.ExitCode = execRun(S, Inv, Out, Err);
     else

@@ -113,8 +113,10 @@ stq::metrics::schedulingDependentCounterPrefixes() {
   // prover.cache.contended: shard-mutex collisions only exist with
   // concurrent probes. incremental.*: hit/miss/eviction accounting depends
   // on store history, not on the program being checked.
+  // frontend.live_units_peak: how many TU tasks overlapped is the schedule.
   static const std::vector<std::string> Prefixes = {
-      "pool.", "check.memo.", "prover.cache.contended", "incremental."};
+      "pool.", "check.memo.", "prover.cache.contended", "incremental.",
+      "frontend.live_units_peak"};
   return Prefixes;
 }
 

@@ -42,6 +42,11 @@ void ThreadPool::submit(std::function<void()> Task) {
     std::lock_guard<std::mutex> Lock(Queues[Target]->M);
     Queues[Target]->Q.push_back(std::move(Task));
   }
+  // A worker holds WakeM from its `Pending == 0` test until it sleeps on
+  // WakeCv. Passing through WakeM here orders this notify after that
+  // sleep (or the test after the increment), so the wakeup cannot fall
+  // in between and be lost.
+  { std::lock_guard<std::mutex> Lock(WakeM); }
   WakeCv.notify_one();
 }
 

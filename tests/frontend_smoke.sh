@@ -15,8 +15,11 @@
 #      with a macro-expansion backtrace, link-checked prototypes);
 #   3. the two-deep include chain (diagnostic carries both "in file
 #      included from" notes);
-#   4. --jobs 4 and a double run: byte-identical to --jobs 1 every time;
-#   5. the same checks through a live stqd daemon (the client ships the
+#   4. the link-error pair (two TUs disagree on one prototype's
+#      qualifier; exit 2 with the link error and none of the checker
+#      warnings the defining TU would produce on its own);
+#   5. --jobs 4 and a double run: byte-identical to --jobs 1 every time;
+#   6. the same checks through a live stqd daemon (the client ships the
 #      include closure over the socket): byte-identical to one-shot, and
 #      cold + warm recheck byte-identical to check.
 set -u
@@ -72,6 +75,7 @@ run_case() {
 run_case dfa 1 nonnull dfa.c
 run_case multi 1 pos,neg alpha.c beta.c main.c
 run_case chain 1 pos,neg chain.c
+run_case mismatch 2 pos,neg mismatch_def.c mismatch_use.c
 
 # --- the same corpus through a live daemon ----------------------------------
 "$STQD" --socket "$SOCK" --workers 2 --jobs 2 2>"$WORK/stqd.err" &
@@ -102,6 +106,7 @@ server_case() {
 server_case dfa 1 nonnull dfa.c
 server_case multi 1 pos,neg alpha.c beta.c main.c
 server_case chain 1 pos,neg chain.c
+server_case mismatch 2 pos,neg mismatch_def.c mismatch_use.c
 
 # Cold then warm recheck against the daemon's shared incremental engine:
 # both byte-identical to the one-shot check.

@@ -20,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -111,6 +113,57 @@ TEST(ThreadPoolStress, DestructionWithIdleWorkers) {
     Busy.submit([&] { Count.fetch_add(1); });
     Busy.wait();
     EXPECT_EQ(Count.load(), 1u);
+  }
+}
+
+TEST(ThreadPoolStress, TaskGroupRoundTripsNeverLoseAWakeup) {
+  // stqd's shape with one pool thread: request threads each submit a task
+  // through their own TaskGroup and wait for it. A submit whose notify
+  // lands between the lone worker's "nothing pending" test and its sleep
+  // leaves the worker asleep with work queued, and every waiter hangs
+  // (one client exposes it within a second on most runs, three clients
+  // more rarely). A hang cannot be unwound from inside the test, so a
+  // watchdog ends the process when no round trip completes for 10 s.
+  for (unsigned Clients : {1u, 3u}) {
+    ThreadPool Pool(1);
+    const auto End =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    std::atomic<uint64_t> RoundTrips{0};
+    std::atomic<bool> Done{false};
+    std::thread Watchdog([&] {
+      uint64_t Seen = 0;
+      auto LastProgress = std::chrono::steady_clock::now();
+      while (!Done.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        const uint64_t Now = RoundTrips.load();
+        if (Now != Seen) {
+          Seen = Now;
+          LastProgress = std::chrono::steady_clock::now();
+        } else if (std::chrono::steady_clock::now() - LastProgress >
+                   std::chrono::seconds(10)) {
+          std::fprintf(stderr,
+                       "TaskGroupRoundTripsNeverLoseAWakeup: %u client(s) "
+                       "made no progress for 10 s after %llu round trips "
+                       "(lost wakeup)\n",
+                       Clients, static_cast<unsigned long long>(Now));
+          std::_Exit(1);
+        }
+      }
+    });
+    std::vector<std::thread> Threads;
+    for (unsigned C = 0; C < Clients; ++C)
+      Threads.emplace_back([&] {
+        while (std::chrono::steady_clock::now() < End) {
+          TaskGroup Group(Pool);
+          Group.submit([&] { RoundTrips.fetch_add(1); });
+          Group.wait();
+        }
+      });
+    for (std::thread &T : Threads)
+      T.join();
+    Done.store(true);
+    Watchdog.join();
+    EXPECT_GT(RoundTrips.load(), 0u) << Clients << " client(s)";
   }
 }
 

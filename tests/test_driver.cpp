@@ -9,6 +9,7 @@
 #include "driver/OptionTable.h"
 #include "driver/Session.h"
 #include "qual/Builtins.h"
+#include "support/ThreadPool.h"
 
 #include "TestTempDir.h"
 
@@ -497,6 +498,159 @@ TEST(Session, EmitMetricsJsonIsWellFormed) {
   EXPECT_NE(Out.find("\"check.units\""), std::string::npos);
   EXPECT_NE(Out.find("\"diag.errors\": 0"), std::string::npos);
   EXPECT_NE(Out.find("\"phase.parse_seconds\""), std::string::npos);
+}
+
+// --------------------------------------------------------------------------
+// Multi-TU check and recheck
+// --------------------------------------------------------------------------
+
+/// Everything a multi-input check shows a user: the rendered diagnostics
+/// and the verdict counters.
+std::string renderFiles(const Session &S, const Session::FilesOutcome &O) {
+  std::string Out;
+  for (const Diagnostic &D : S.diags().diagnostics())
+    Out += D.str() + "\n";
+  Out += "loaded " + std::to_string(O.loaded()) + ", errors " +
+         std::to_string(O.Result.QualErrors) + ", derefs " +
+         std::to_string(O.Result.Stats.DerefSites) + ", assigns " +
+         std::to_string(O.Result.Stats.AssignChecks) + ", runtime checks " +
+         std::to_string(O.Result.RuntimeCheckCount) + "\n";
+  return Out;
+}
+
+std::string coldCheckFiles(const std::vector<frontend::InputFile> &In) {
+  SessionOptions Options;
+  Options.Builtins = {"pos", "neg"};
+  Session S(Options);
+  return renderFiles(S, S.checkFiles(In));
+}
+
+/// Unit \p I of a chain of TUs: f<I> multiplies the previous unit's root
+/// into its own; unit 3 plants one underivable initialization. \p Scale
+/// varies one constant, for edits.
+frontend::InputFile chainUnit(unsigned I, unsigned Scale = 2) {
+  std::string Fn = "f" + std::to_string(I);
+  std::string Text;
+  if (I > 0)
+    Text += "int pos f" + std::to_string(I - 1) + "(int pos a);\n";
+  Text += "int pos " + Fn + "(int pos a) {\n  int pos r = a * " +
+          std::to_string(Scale) + ";\n";
+  if (I == 3)
+    Text += "  int pos bad = 0 - r;\n";
+  if (I > 0)
+    Text += "  r = r * f" + std::to_string(I - 1) + "(a);\n";
+  Text += "  return r;\n}\n";
+  return {"u" + std::to_string(I) + ".c", Text};
+}
+
+TEST(Session, RecheckFilesAcrossABrokenLinkMatchesColdCheck) {
+  // A clean load, an edit that breaks the link, and the fix, rechecked
+  // through one engine. While the broken load's clean TUs are checked
+  // (and their verdicts stored), only a cold check's bytes may come out.
+  std::vector<frontend::InputFile> Clean = {chainUnit(0), chainUnit(1),
+                                            chainUnit(2), chainUnit(3)};
+  std::vector<frontend::InputFile> Broken = Clean;
+  Broken[2].Text.replace(Broken[2].Text.find("int pos f1(int pos a);"),
+                         22, "int pos f1(int neg a);");
+
+  checker::incremental::Engine Engine;
+  unsigned Version = 0;
+  for (const auto *In : {&Clean, &Broken, &Clean}) {
+    SessionOptions Options;
+    Options.Builtins = {"pos", "neg"};
+    Options.SharedIncremental = &Engine;
+    Session S(Options);
+    Session::FilesOutcome Out = S.recheckFiles(*In);
+    std::string Warm = renderFiles(S, Out);
+    EXPECT_EQ(Warm, coldCheckFiles(*In)) << "version " << Version;
+    const bool IsBroken = In == &Broken;
+    EXPECT_EQ(Out.LinkOk, !IsBroken) << "version " << Version;
+    EXPECT_EQ(Warm.find("[qualcheck]") == std::string::npos, IsBroken)
+        << Warm;
+    if (IsBroken) {
+      EXPECT_EQ(S.diags().countInPhase("link"), 1u);
+      EXPECT_EQ(Out.Result.QualErrors, 0u);
+    } else {
+      EXPECT_EQ(Out.Result.QualErrors, 1u);
+    }
+    ++Version;
+  }
+}
+
+TEST(Session, RecheckFilesManyUnitsShareOneEngineAtJobs4) {
+  // Ten TU tasks at jobs 4 probe and fill one engine concurrently, round
+  // after round, on a per-call pool and on a shared one; every round is
+  // byte-identical to a cold jobs-1 check of the same text.
+  constexpr unsigned Units = 10;
+  checker::incremental::Engine Engine;
+  ThreadPool Shared(3);
+  for (unsigned Round = 0; Round < 6; ++Round) {
+    std::vector<frontend::InputFile> In;
+    for (unsigned I = 0; I < Units; ++I)
+      In.push_back(chainUnit(I, I == Round % Units ? 5 : 2));
+    SessionOptions Options;
+    Options.Builtins = {"pos", "neg"};
+    Options.Jobs = 4;
+    Options.SharedIncremental = &Engine;
+    Options.SharedPool = Round % 2 ? &Shared : nullptr;
+    Session S(Options);
+    Session::FilesOutcome Out = S.recheckFiles(In);
+    ASSERT_TRUE(Out.loaded()) << "round " << Round;
+    EXPECT_EQ(renderFiles(S, Out), coldCheckFiles(In)) << "round " << Round;
+    EXPECT_EQ(Out.Incremental.Units, Out.Pipeline.Units);
+    if (Round > 0) {
+      EXPECT_GT(Out.Incremental.Hits, 0u) << "round " << Round;
+    }
+  }
+}
+
+TEST(Session, CheckFilesFreesEveryUnitInItsTask) {
+  std::vector<frontend::InputFile> In;
+  for (unsigned I = 0; I < 6; ++I)
+    In.push_back(chainUnit(I));
+  SessionOptions Options;
+  Options.Builtins = {"pos", "neg"};
+  Options.Jobs = 2;
+  Session S(Options);
+  Session::FilesOutcome Out = S.checkFiles(In);
+  ASSERT_TRUE(Out.loaded());
+  EXPECT_EQ(Out.Units, 6u);
+  stats::Registry &M = S.metrics();
+  // One sample per TU for every stage of its task, one per call for the
+  // fan-out and the serial tail.
+  for (const char *Stage :
+       {"phase.pp_seconds", "phase.parse_seconds", "phase.sema_seconds",
+        "phase.lower_seconds", "phase.qualcheck_seconds", "phase.free_seconds"})
+    EXPECT_EQ(M.histogram(Stage).data().Count, 6u) << Stage;
+  for (const char *Tail :
+       {"phase.fanout_seconds", "phase.link_seconds", "phase.merge_seconds"})
+    EXPECT_EQ(M.histogram(Tail).data().Count, 1u) << Tail;
+  EXPECT_EQ(M.counter("frontend.units").get(), 6u);
+  EXPECT_EQ(M.counter("pool.executed").get(), 6u);
+  EXPECT_EQ(M.counter("pool.jobs").get(), 2u);
+  EXPECT_GE(M.counter("frontend.live_units_peak").get(), 1u);
+  EXPECT_LE(M.counter("frontend.live_units_peak").get(), 2u);
+}
+
+TEST(Session, CheckFilesSpreadsALoneUnitOverTheJobs) {
+  // A one-TU multi-input check runs its task inline, so the task itself
+  // fans the unit's functions out: pool.* reports that fan-out, one task
+  // per work item, not the single TU.
+  std::vector<frontend::InputFile> In = {chainUnit(0)};
+  for (unsigned I : {1u, 2u}) {
+    std::string Unit = chainUnit(I).Text;
+    In[0].Text += Unit.substr(Unit.find("int pos f" + std::to_string(I)));
+  }
+  SessionOptions Options;
+  Options.Builtins = {"pos", "neg"};
+  Options.Jobs = 4;
+  Session S(Options);
+  Session::FilesOutcome Out = S.checkFiles(In);
+  ASSERT_TRUE(Out.loaded()) << renderFiles(S, Out);
+  EXPECT_EQ(Out.Pipeline.Units, 4u); // globals + f0, f1, f2
+  EXPECT_EQ(Out.Pipeline.Jobs, 4u);
+  EXPECT_EQ(Out.Pipeline.Executed, Out.Pipeline.Units);
+  EXPECT_EQ(renderFiles(S, Out), coldCheckFiles(In));
 }
 
 // The determinism contract: for a fixed input, every counter outside
