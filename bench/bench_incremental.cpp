@@ -91,13 +91,13 @@ double recheckOnce(Engine &E, const std::string &Source,
   Opts.IncrementalUnit = "bench";
   Session S(Opts);
   auto Start = std::chrono::steady_clock::now();
-  Session::RecheckOutcome Out = S.recheck(Source);
+  Session::CheckOutcome Out = S.recheck(Source);
   double Elapsed = secondsSince(Start);
   if (!Out.FrontEndOk) {
     std::fprintf(stderr, "bench_incremental: front end rejected the unit\n");
     std::exit(1);
   }
-  Stats = Out.Stats;
+  Stats = Out.Incremental;
   if (Phase)
     *Phase = qualcheckSeconds(S);
   return Elapsed;

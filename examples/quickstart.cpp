@@ -91,7 +91,7 @@ int main() {
   Session::RunOutcome Out = S.run(Program);
   std::printf("qualifier errors: %u, run-time checks inserted: %zu\n",
               Out.Check.Result.QualErrors,
-              Out.Check.Result.RuntimeChecks.size());
+              Out.Check.RuntimeChecks.size());
 
   std::printf("\n== 4. Execute with run-time checks ==\n");
   const interp::RunResult &Run = Out.Run;

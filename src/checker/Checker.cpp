@@ -5,7 +5,6 @@
 #include "cminus/Lowering.h"
 #include "cminus/Parser.h"
 #include "cminus/Printer.h"
-#include "cminus/Sema.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -1055,16 +1054,8 @@ CheckResult stq::checker::checkSource(const std::string &Source,
                                       DiagnosticEngine &Diags,
                                       std::unique_ptr<Program> &ProgOut,
                                       CheckerOptions Options) {
-  ProgOut = parseProgram(Source, Quals.names(), Diags);
-  CheckResult Empty;
-  if (Diags.hasErrors())
-    return Empty;
-  if (!runSema(*ProgOut, Quals.refNames(), Diags))
-    return Empty;
-  if (!lowerProgram(*ProgOut, Diags))
-    return Empty;
-  if (!verifyLoweredProgram(*ProgOut, Diags))
-    return Empty;
+  if (!runFrontEnd(Source, Quals.names(), Quals.refNames(), Diags, ProgOut))
+    return {};
   QualChecker Checker(*ProgOut, Quals, Diags, Options);
   return Checker.run();
 }

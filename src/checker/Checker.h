@@ -305,8 +305,8 @@ private:
   std::map<const cminus::VarDecl *, std::set<std::string>> Narrowed;
 };
 
-/// Convenience entry point: runs the full front end (parse, sema, lower,
-/// verify) with \p Quals registered, then the qualifier checker. Returns the
+/// cminus::runFrontEnd(), then one QualChecker::run(): the sequential
+/// reference the work-item loop (Parallel.h) is tested against. Returns the
 /// parsed program through \p ProgOut (may be null on parse failure).
 CheckResult checkSource(const std::string &Source,
                         const qual::QualifierSet &Quals,

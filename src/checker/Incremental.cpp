@@ -2,7 +2,6 @@
 
 #include "checker/Incremental.h"
 
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -328,7 +327,7 @@ void Engine::clear() {
   Snapshots.clear();
 }
 
-bool Engine::probe(const Hash128 &Key, CachedVerdict &Out) {
+bool Engine::probe(const Hash128 &Key, ItemVerdict &Out) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Index.find(Key);
   if (It == Index.end())
@@ -338,7 +337,7 @@ bool Engine::probe(const Hash128 &Key, CachedVerdict &Out) {
   return true;
 }
 
-unsigned Engine::insert(const Hash128 &Key, CachedVerdict Verdict) {
+unsigned Engine::insert(const Hash128 &Key, ItemVerdict Verdict) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Index.find(Key);
   if (It != Index.end()) {
@@ -367,17 +366,12 @@ RecheckResult Engine::recheck(const std::string &Unit, cminus::Program &Prog,
                               ThreadPool *Pool, const Hash128 *EnvSeed) {
   trace::Span Span("recheck");
 
-  std::vector<cminus::FuncDecl *> Fns;
-  for (cminus::FuncDecl *Fn : Prog.Functions)
-    if (Fn->isDefinition())
-      Fns.push_back(Fn);
+  const std::vector<cminus::FuncDecl *> Fns = workItemFunctions(Prog);
   const size_t Units = Fns.size() + 1; // Work item 0: global initializers.
 
   RecheckStats Local;
   RecheckStats &S = StatsOut ? *StatsOut : Local;
   S = {};
-  S.Units = static_cast<unsigned>(Units);
-  S.Jobs = Jobs == 0 ? 1 : Jobs;
 
   // Runs keyed by assumption sets are not content-addressable: bypass the
   // store entirely (every item re-checks, nothing is cached).
@@ -474,59 +468,30 @@ RecheckResult Engine::recheck(const std::string &Unit, cminus::Program &Prog,
     }
   }
 
-  // Probe phase: serve what the store can, queue the rest.
-  std::vector<CachedVerdict> Verdicts(Units);
-  std::vector<size_t> Miss;
-  for (size_t I = 0; I < Units; ++I) {
-    if (!Bypass && I > 0 && ForcedDirty.count(Fns[I - 1]->Name)) {
-      ++S.SignatureDirtied;
-      Miss.push_back(I);
-      continue;
-    }
-    if (!Bypass && probe(Keys[I], Verdicts[I])) {
-      ++S.Hits;
-      continue;
-    }
-    Miss.push_back(I);
-  }
-  S.Rechecked = static_cast<unsigned>(Miss.size());
-
-  // Re-check the missed items on the shared pool, each into its own
-  // DiagnosticEngine (exactly the Parallel.cpp sharding).
-  struct MissRun {
-    DiagnosticEngine Diags;
-    CheckResult Result;
-  };
-  std::vector<MissRun> Runs(Miss.size());
-  ThreadPool::PoolStats PoolStats;
-  parallelFor(
-      S.Jobs, Miss.size(),
-      [&](size_t J) {
-        const size_t I = Miss[J];
-        QualChecker Checker(Prog, Quals, Runs[J].Diags, Options);
-        Runs[J].Result =
-            I == 0 ? Checker.runGlobals() : Checker.runFunction(Fns[I - 1]);
-      },
-      &PoolStats, Pool);
-  S.Executed = PoolStats.Executed;
-  S.Steals = PoolStats.Steals;
-
-  for (size_t J = 0; J < Miss.size(); ++J) {
-    CachedVerdict &V = Verdicts[Miss[J]];
-    static_cast<CheckCounts &>(V) = Runs[J].Result.counts();
-    V.Diags = Runs[J].Diags.diagnostics();
-    if (!Bypass)
-      S.Evictions += insert(Keys[Miss[J]], Verdicts[Miss[J]]);
-  }
-
-  // Merge in work-item order: globals first, then functions as declared —
-  // the same order the sequential checker reports in, so output is
-  // byte-identical to a cold full check.
+  // The loop probes every item here, checks only the misses, and fills
+  // the store with their verdicts.
   RecheckResult Result;
-  for (size_t I = 0; I < Units; ++I) {
-    for (const Diagnostic &D : Verdicts[I].Diags)
-      Diags.report(D);
-    Result += Verdicts[I];
-  }
+  ItemStore Store{
+      [&](size_t I, ItemVerdict &V) {
+        if (Bypass)
+          return false;
+        if (I > 0 && ForcedDirty.count(Fns[I - 1]->Name)) {
+          ++S.SignatureDirtied;
+          return false;
+        }
+        if (!probe(Keys[I], V))
+          return false;
+        ++S.Hits;
+        Result += V;
+        return true;
+      },
+      [&](size_t I, const ItemVerdict &V) {
+        if (!Bypass)
+          S.Evictions += insert(Keys[I], V);
+      }};
+  Result += checkWorkItems(Prog, Fns, Quals, Diags, Options, Jobs, &S, Pool,
+                           &Store)
+                .counts();
+  S.Rechecked = S.Units - S.Hits;
   return Result;
 }

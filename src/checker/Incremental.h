@@ -6,15 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The incremental re-check layer over the sharded checker (Parallel.h).
+/// The incremental re-check layer over the work-item loop (Parallel.h).
 /// The paper's section 6 pitch is interactive-speed checking; this layer
 /// makes warm re-checks after an edit proportional to the edit, not the
 /// unit, while staying byte-identical to a cold full check.
 ///
-/// A unit (one translation unit fed to `recheck`) is split into the same
-/// work items as the parallel checker: the global initializers (work item
-/// 0) plus one item per function definition. Every item gets a 128-bit
-/// content hash covering
+/// A unit (one translation unit fed to `recheck`) is split into the
+/// loop's work items: the global initializers (work item 0) plus one item
+/// per function definition. Every item gets a 128-bit content hash
+/// covering
 ///
 ///   * the qualifier environment (every loaded qualifier definition,
 ///     checker options, struct layouts, global declared types),
@@ -27,8 +27,9 @@
 ///
 /// Verdicts (counters + diagnostics, by value — never AST pointers, which
 /// dangle across parses) live in an LRU-bounded store keyed by the full
-/// content hash. A probe that hits replays the cached diagnostics; a miss
-/// runs the real checker for just that item. Items are merged in program
+/// content hash. recheck() runs the work-item loop with the store as its
+/// checker::ItemStore: a probe that hits replays the cached diagnostics,
+/// the loop checks only the misses, and it merges every item in program
 /// order, so output is byte-identical to `checkProgramParallel` at any job
 /// count.
 ///
@@ -48,7 +49,7 @@
 #ifndef STQ_CHECKER_INCREMENTAL_H
 #define STQ_CHECKER_INCREMENTAL_H
 
-#include "checker/Checker.h"
+#include "checker/Parallel.h"
 #include "support/Diagnostics.h"
 
 #include <cstdint>
@@ -109,22 +110,14 @@ private:
   Hash128 H;
 };
 
-/// One cached work-item verdict. Counters and diagnostics by value;
-/// RuntimeChecks/Failures are reduced to counts because their elements
-/// hold AST pointers that would dangle across parses.
-struct CachedVerdict : CheckCounts {
-  std::vector<Diagnostic> Diags;
-};
-
 /// Result of one incremental re-check: the same shape execCheck consumes,
 /// minus the AST-pointer record lists (counts instead).
 using RecheckResult = CheckCounts;
 
-/// Counters describing one recheck() call; Session publishes these as the
+/// Counters describing one recheck() call: the work-item loop's, plus
+/// what the store served. Session publishes the latter as the
 /// incremental.* metrics (docs/OBSERVABILITY.md).
-struct RecheckStats {
-  /// Work items in the unit (functions + 1 for globals).
-  unsigned Units = 0;
+struct RecheckStats : ParallelStats {
   /// Items served from the verdict store.
   unsigned Hits = 0;
   /// Items actually re-checked (misses + forced-dirty).
@@ -134,10 +127,6 @@ struct RecheckStats {
   unsigned SignatureDirtied = 0;
   /// Store evictions caused by this call.
   unsigned Evictions = 0;
-  /// Scheduling facts, mirroring ParallelStats.
-  unsigned Jobs = 1;
-  size_t Executed = 0;
-  size_t Steals = 0;
 };
 
 /// The long-lived incremental engine: verdict store + per-unit signature
@@ -183,7 +172,7 @@ public:
 private:
   struct Entry {
     Hash128 Key;
-    CachedVerdict Verdict;
+    ItemVerdict Verdict;
   };
   /// Signature hashes by function name, per unit, from the previous
   /// recheck of that unit.
@@ -193,10 +182,10 @@ private:
 
   /// Probe under Mu: returns true and copies the verdict out on a hit
   /// (also refreshes LRU order).
-  bool probe(const Hash128 &Key, CachedVerdict &Out);
+  bool probe(const Hash128 &Key, ItemVerdict &Out);
   /// Insert under Mu (overwrites an existing key), evicting past capacity.
   /// Returns the number of evictions performed.
-  unsigned insert(const Hash128 &Key, CachedVerdict Verdict);
+  unsigned insert(const Hash128 &Key, ItemVerdict Verdict);
 
   const size_t Capacity;
 

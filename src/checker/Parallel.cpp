@@ -2,9 +2,6 @@
 
 #include "checker/Parallel.h"
 
-#include "cminus/Lowering.h"
-#include "cminus/Parser.h"
-#include "cminus/Sema.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
@@ -27,6 +24,68 @@ void mergeResult(CheckResult &Into, CheckResult &From) {
 
 } // namespace
 
+std::vector<cminus::FuncDecl *>
+stq::checker::workItemFunctions(const cminus::Program &Prog) {
+  std::vector<cminus::FuncDecl *> Fns;
+  for (cminus::FuncDecl *Fn : Prog.Functions)
+    if (Fn->isDefinition())
+      Fns.push_back(Fn);
+  return Fns;
+}
+
+CheckResult stq::checker::checkWorkItems(
+    cminus::Program &Prog, const std::vector<cminus::FuncDecl *> &Fns,
+    const qual::QualifierSet &Quals, DiagnosticEngine &Diags,
+    const CheckerOptions &Options, unsigned Jobs, ParallelStats *StatsOut,
+    ThreadPool *Pool, ItemStore *Store) {
+  const size_t Items = Fns.size() + 1;
+  std::vector<ItemVerdict> Served(Store ? Items : 0);
+  std::vector<size_t> Todo;
+  Todo.reserve(Items);
+  for (size_t I = 0; I < Items; ++I)
+    if (!Store || !Store->Probe(I, Served[I]))
+      Todo.push_back(I);
+
+  struct ItemRun {
+    DiagnosticEngine Diags;
+    CheckResult Result;
+  };
+  std::vector<ItemRun> Runs(Todo.size());
+  ThreadPool::PoolStats PoolStats;
+  parallelFor(
+      Jobs, Todo.size(),
+      [&](size_t J) {
+        const size_t I = Todo[J];
+        QualChecker Checker(Prog, Quals, Runs[J].Diags, Options);
+        Runs[J].Result =
+            I == 0 ? Checker.runGlobals() : Checker.runFunction(Fns[I - 1]);
+      },
+      &PoolStats, Pool);
+  if (StatsOut)
+    *StatsOut = {static_cast<unsigned>(Items), Jobs == 0 ? 1 : Jobs,
+                 PoolStats.Executed, PoolStats.Steals};
+
+  // Merge in item order: globals first, then functions as declared. This
+  // reproduces the sequential checker's diagnostic order exactly, so any
+  // job count and any mix of served and checked items produce
+  // byte-identical output.
+  CheckResult Merged;
+  for (size_t I = 0, J = 0; I < Items; ++I) {
+    if (J == Todo.size() || Todo[J] != I) {
+      for (const Diagnostic &D : Served[I].Diags)
+        Diags.report(D);
+      continue;
+    }
+    ItemRun &Run = Runs[J++];
+    if (Store)
+      Store->Fill(I, {Run.Result.counts(), Run.Diags.diagnostics()});
+    for (const Diagnostic &D : Run.Diags.diagnostics())
+      Diags.report(D);
+    mergeResult(Merged, Run.Result);
+  }
+  return Merged;
+}
+
 CheckResult stq::checker::checkProgramParallel(cminus::Program &Prog,
                                                const qual::QualifierSet &Quals,
                                                DiagnosticEngine &Diags,
@@ -35,69 +94,6 @@ CheckResult stq::checker::checkProgramParallel(cminus::Program &Prog,
                                                ParallelStats *StatsOut,
                                                ThreadPool *Pool) {
   trace::Span Span("qualcheck");
-  std::vector<cminus::FuncDecl *> Fns;
-  for (cminus::FuncDecl *Fn : Prog.Functions)
-    if (Fn->isDefinition())
-      Fns.push_back(Fn);
-  const size_t Units = Fns.size() + 1; // Unit 0 is the global initializers.
-
-  if (StatsOut) {
-    *StatsOut = {};
-    StatsOut->Units = static_cast<unsigned>(Units);
-    StatsOut->Jobs = Jobs == 0 ? 1 : Jobs;
-  }
-
-  if (Jobs <= 1) {
-    // The sequential baseline: one checker, reporting straight into Diags.
-    QualChecker Checker(Prog, Quals, Diags, Options);
-    CheckResult Result = Checker.run();
-    if (StatsOut)
-      StatsOut->Executed = Units;
-    return Result;
-  }
-
-  struct UnitRun {
-    DiagnosticEngine Diags;
-    CheckResult Result;
-  };
-  std::vector<UnitRun> Runs(Units);
-  ThreadPool::PoolStats PoolStats;
-  parallelFor(Jobs, Units, [&](size_t I) {
-    QualChecker Checker(Prog, Quals, Runs[I].Diags, Options);
-    Runs[I].Result =
-        I == 0 ? Checker.runGlobals() : Checker.runFunction(Fns[I - 1]);
-  }, &PoolStats, Pool);
-
-  // Merge in unit order: globals first, then functions as declared. This
-  // reproduces the sequential checker's diagnostic order exactly, so any
-  // job count produces byte-identical output.
-  CheckResult Merged;
-  for (UnitRun &Run : Runs) {
-    for (const Diagnostic &D : Run.Diags.diagnostics())
-      Diags.report(D);
-    mergeResult(Merged, Run.Result);
-  }
-  if (StatsOut) {
-    StatsOut->Executed = PoolStats.Executed;
-    StatsOut->Steals = PoolStats.Steals;
-  }
-  return Merged;
-}
-
-CheckResult stq::checker::checkSourceParallel(
-    const std::string &Source, const qual::QualifierSet &Quals,
-    DiagnosticEngine &Diags, std::unique_ptr<cminus::Program> &ProgOut,
-    CheckerOptions Options, unsigned Jobs, ParallelStats *StatsOut) {
-  ProgOut = cminus::parseProgram(Source, Quals.names(), Diags);
-  CheckResult Empty;
-  if (Diags.hasErrors())
-    return Empty;
-  if (!cminus::runSema(*ProgOut, Quals.refNames(), Diags))
-    return Empty;
-  if (!cminus::lowerProgram(*ProgOut, Diags))
-    return Empty;
-  if (!cminus::verifyLoweredProgram(*ProgOut, Diags))
-    return Empty;
-  return checkProgramParallel(*ProgOut, Quals, Diags, Options, Jobs,
-                              StatsOut);
+  return checkWorkItems(Prog, workItemFunctions(Prog), Quals, Diags, Options,
+                        Jobs, StatsOut, Pool, nullptr);
 }

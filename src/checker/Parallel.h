@@ -1,4 +1,4 @@
-//===- Parallel.h - Sharded parallel qualifier checking ---------*- C++ -*-===//
+//===- Parallel.h - The work-item loop --------------------------*- C++ -*-===//
 //
 // Part of the stq project: a reproduction of "Semantic Type Qualifiers"
 // (Chin, Markstrum, Millstein; PLDI 2005).
@@ -6,23 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parallel checking pipeline (`stqc check --jobs N`). The program is
-/// split into units — the global initializers plus one unit per function
-/// definition — and the units are checked by independent QualChecker
-/// instances on a work-stealing pool. The checker only reads the lowered
-/// AST, so units share the program without synchronization; each unit
-/// collects diagnostics into a private engine.
+/// The one work-item loop every check runs through, at every job count.
+/// The program is split into work items — item 0 is the global
+/// initializers, item I > 0 the I-th function definition — and each item is
+/// checked by its own QualChecker into its own DiagnosticEngine on a
+/// work-stealing pool. The checker only reads the lowered AST, so items
+/// share the program without synchronization.
 ///
-/// Determinism: unit results are merged in program order (globals first,
-/// then functions as declared), which reproduces the sequential checker's
-/// diagnostic and runtime-check order exactly. `--jobs N` must be
-/// byte-identical to `--jobs 1`; the differential test enforces this.
-///
-/// The only observable difference from a single sequential QualChecker is
-/// the memoization counters: the hasQualifier memo is per-instance, so a
-/// sharded run re-derives queries a sequential run would have memo-hit
-/// across function boundaries. Stats.MemoHits may therefore differ;
-/// diagnostics and failures may not.
+/// Determinism: item results are merged in item order, which reproduces
+/// the diagnostic and runtime-check order of the sequential reference, one
+/// QualChecker::run() (checker::checkSource). `--jobs N` must be
+/// byte-identical to it for every N, 1 included; the differential test
+/// enforces this. The hasQualifier memo is per checker instance, so with
+/// one instance per item at every job count its counters (Stats.MemoHits,
+/// Stats.HasQualQueries) are deterministic too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,15 +28,17 @@
 
 #include "checker/Checker.h"
 
+#include <functional>
+
 namespace stq {
 class ThreadPool;
 }
 
 namespace stq::checker {
 
-/// Counters describing one parallel checking run.
+/// Counters describing one run of the work-item loop.
 struct ParallelStats {
-  /// Shardable units: 1 (globals) + function definitions.
+  /// Work items: 1 (globals) + function definitions.
   unsigned Units = 0;
   /// Worker threads used.
   unsigned Jobs = 0;
@@ -48,11 +47,40 @@ struct ParallelStats {
   uint64_t Steals = 0;
 };
 
-/// Checks \p Prog with \p Jobs workers. Jobs <= 1 runs the plain
-/// sequential checker on \p Diags; otherwise units run concurrently and
-/// their diagnostics are merged into \p Diags in program order. When
-/// \p Pool is given, units fan out on it (as a task group) instead of a
-/// per-call pool, so concurrent callers share workers.
+/// One work item's verdict by value: no AST pointers, so a verdict store
+/// can keep it past the program.
+struct ItemVerdict : CheckCounts {
+  std::vector<Diagnostic> Diags;
+};
+
+/// A verdict store (incremental::Engine). Probe(I, V) serves item I into V,
+/// or returns false to have it checked; it is called for every item, in
+/// order, before any checking. Fill(I, V) then receives each checked item's
+/// verdict, in order.
+struct ItemStore {
+  std::function<bool(size_t I, ItemVerdict &V)> Probe;
+  std::function<void(size_t I, const ItemVerdict &V)> Fill;
+};
+
+/// The function definitions of \p Prog in declaration order: work item
+/// I > 0 is element I - 1.
+std::vector<cminus::FuncDecl *> workItemFunctions(const cminus::Program &Prog);
+
+/// The work-item loop: checks every item of \p Prog (\p Fns is
+/// workItemFunctions(Prog)) that \p Store does not serve, over \p Jobs
+/// workers (a task group on \p Pool when given), then reports every item's
+/// diagnostics into \p Diags in item order. Returns the merged verdict of
+/// the checked items.
+CheckResult checkWorkItems(cminus::Program &Prog,
+                           const std::vector<cminus::FuncDecl *> &Fns,
+                           const qual::QualifierSet &Quals,
+                           DiagnosticEngine &Diags,
+                           const CheckerOptions &Options, unsigned Jobs,
+                           ParallelStats *StatsOut, ThreadPool *Pool,
+                           ItemStore *Store);
+
+/// Checks every work item of \p Prog with \p Jobs workers (checkWorkItems()
+/// without a store).
 CheckResult checkProgramParallel(cminus::Program &Prog,
                                  const qual::QualifierSet &Quals,
                                  DiagnosticEngine &Diags,
@@ -60,16 +88,6 @@ CheckResult checkProgramParallel(cminus::Program &Prog,
                                  unsigned Jobs = 1,
                                  ParallelStats *StatsOut = nullptr,
                                  ThreadPool *Pool = nullptr);
-
-/// Convenience entry point mirroring checkSource: full front end, then
-/// parallel checking.
-CheckResult checkSourceParallel(const std::string &Source,
-                                const qual::QualifierSet &Quals,
-                                DiagnosticEngine &Diags,
-                                std::unique_ptr<cminus::Program> &ProgOut,
-                                CheckerOptions Options = {},
-                                unsigned Jobs = 1,
-                                ParallelStats *StatsOut = nullptr);
 
 } // namespace stq::checker
 

@@ -2,6 +2,9 @@
 
 #include "cminus/Parser.h"
 
+#include "cminus/Lowering.h"
+#include "cminus/Sema.h"
+#include "support/Stats.h"
 #include "support/Trace.h"
 
 #include <cassert>
@@ -734,4 +737,28 @@ Expr *Parser::parsePrimary() {
         std::string(tokenKindName(peek().Kind)));
   advance();
   return makeErrorExpr(Loc);
+}
+
+bool stq::cminus::runFrontEnd(const std::string &Source,
+                              const std::vector<std::string> &QualNames,
+                              const std::vector<std::string> &RefQualNames,
+                              DiagnosticEngine &Diags,
+                              std::unique_ptr<Program> &ProgOut,
+                              stats::Registry *Metrics) {
+  {
+    stats::ScopedTimer Timer(Metrics, "phase.parse_seconds");
+    ProgOut = parseProgram(Source, QualNames, Diags);
+  }
+  if (!ProgOut || Diags.hasErrors())
+    return false;
+  {
+    stats::ScopedTimer Timer(Metrics, "phase.sema_seconds");
+    if (!runSema(*ProgOut, RefQualNames, Diags))
+      return false;
+  }
+  stats::ScopedTimer Timer(Metrics, "phase.lower_seconds");
+  if (!lowerProgram(*ProgOut, Diags))
+    return false;
+  trace::Span Span("verify");
+  return verifyLoweredProgram(*ProgOut, Diags);
 }

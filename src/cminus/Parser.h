@@ -27,6 +27,10 @@
 #include <string>
 #include <vector>
 
+namespace stq::stats {
+class Registry;
+}
+
 namespace stq::cminus {
 
 /// Parses one C-minus translation unit.
@@ -39,6 +43,19 @@ std::unique_ptr<Program> parseProgram(const std::string &Source,
                                       const std::vector<std::string>
                                           &QualifierNames,
                                       DiagnosticEngine &Diags);
+
+/// The front end in its one order, shared by every caller: parseProgram
+/// (with \p QualNames), runSema (with \p RefQualNames), lowerProgram,
+/// verifyLoweredProgram. Stops at the first failing stage, or after
+/// parsing when \p Diags holds an error. \p ProgOut receives the program,
+/// possibly incomplete. With \p Metrics, each stage reached records one
+/// sample into phase.parse_seconds, phase.sema_seconds or
+/// phase.lower_seconds (lower + verify). Returns true when all succeed.
+bool runFrontEnd(const std::string &Source,
+                 const std::vector<std::string> &QualNames,
+                 const std::vector<std::string> &RefQualNames,
+                 DiagnosticEngine &Diags, std::unique_ptr<Program> &ProgOut,
+                 stats::Registry *Metrics = nullptr);
 
 namespace detail {
 

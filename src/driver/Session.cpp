@@ -2,10 +2,8 @@
 
 #include "driver/Session.h"
 
-#include "cminus/Lowering.h"
 #include "cminus/Parser.h"
 #include "cminus/Printer.h"
-#include "cminus/Sema.h"
 #include "qual/Builtins.h"
 #include "qual/QualParser.h"
 #include "support/ThreadPool.h"
@@ -88,60 +86,63 @@ bool Session::loadQualifiers() {
   return true;
 }
 
-std::unique_ptr<cminus::Program> Session::frontEnd(const std::string &Source,
-                                                   bool &Ok) {
-  Ok = false;
-  std::unique_ptr<cminus::Program> Prog;
-  {
-    stats::ScopedTimer Timer(&Metrics, "phase.parse_seconds");
-    Prog = cminus::parseProgram(Source, QualsView->names(), Diags);
-  }
-  if (!Prog || Diags.hasErrors())
-    return Prog;
-  {
-    stats::ScopedTimer Timer(&Metrics, "phase.sema_seconds");
-    if (!cminus::runSema(*Prog, QualsView->refNames(), Diags))
-      return Prog;
-  }
-  {
-    stats::ScopedTimer Timer(&Metrics, "phase.lower_seconds");
-    if (!cminus::lowerProgram(*Prog, Diags) ||
-        !cminus::verifyLoweredProgram(*Prog, Diags))
-      return Prog;
-  }
-  Ok = true;
-  return Prog;
-}
-
 Session::FrontEndOutcome Session::frontEnd(const std::string &Source) {
   FrontEndOutcome Out;
-  if (!loadQualifiers()) {
-    publishDiagMetrics();
-    return Out;
-  }
-  Out.Program = frontEnd(Source, Out.Ok);
+  if (loadQualifiers())
+    Out.Ok = cminus::runFrontEnd(Source, QualsView->names(),
+                                 QualsView->refNames(), Diags, Out.Program,
+                                 &Metrics);
   publishDiagMetrics();
   return Out;
 }
 
-Session::CheckOutcome Session::check(const std::string &Source) {
+std::vector<checker::RuntimeCastCheck>
+Session::checkProgram(cminus::Program &Prog, DiagnosticEngine &D,
+                      unsigned Jobs, checker::incremental::Engine *Store,
+                      const std::string &Unit,
+                      const checker::incremental::Hash128 *Seed,
+                      Verdict &Out) {
+  stats::ScopedTimer Timer(&Metrics, "phase.qualcheck_seconds");
+  if (Store) {
+    Out.Result = Store->recheck(Unit, Prog, *QualsView, D, Opts.Checker, Jobs,
+                                &Out.Incremental, Opts.SharedPool, Seed);
+    Out.Pipeline = Out.Incremental;
+    return {};
+  }
+  checker::CheckResult R = checker::checkProgramParallel(
+      Prog, *QualsView, D, Opts.Checker, Jobs, &Out.Pipeline, Opts.SharedPool);
+  Out.Result = R.counts();
+  return std::move(R.RuntimeChecks);
+}
+
+Session::CheckOutcome
+Session::checkSingle(const std::string &Source,
+                     checker::incremental::Engine *Store) {
   CheckOutcome Out;
   if (!loadQualifiers()) {
     publishDiagMetrics();
     return Out;
   }
-  Out.Program = frontEnd(Source, Out.FrontEndOk);
+  Out.FrontEndOk =
+      cminus::runFrontEnd(Source, QualsView->names(), QualsView->refNames(),
+                          Diags, Out.Program, &Metrics);
   if (Out.FrontEndOk) {
-    stats::ScopedTimer Timer(&Metrics, "phase.qualcheck_seconds");
-    Out.Result =
-        checker::checkProgramParallel(*Out.Program, *QualsView, Diags,
-                                      Opts.Checker, Opts.Jobs, &Out.Pipeline,
-                                      Opts.SharedPool);
+    Out.RuntimeChecks = checkProgram(*Out.Program, Diags, Opts.Jobs, Store,
+                                     Opts.IncrementalUnit, nullptr, Out);
+    publishCheckMetrics(Out.Result, Out.Pipeline);
+    if (Store)
+      publishIncrementalMetrics(Out.Incremental);
   }
-  if (Out.FrontEndOk)
-    publishCheckMetrics(Out.Result.counts(), Out.Pipeline);
   publishDiagMetrics();
   return Out;
+}
+
+Session::CheckOutcome Session::check(const std::string &Source) {
+  return checkSingle(Source, nullptr);
+}
+
+Session::CheckOutcome Session::recheck(const std::string &Source) {
+  return checkSingle(Source, &incrementalEngine());
 }
 
 frontend::CompileOptions Session::compileOptions() const {
@@ -156,7 +157,7 @@ frontend::CompileOptions Session::compileOptions() const {
 
 /// What one TU's task leaves behind once its AST and preprocessed text are
 /// freed: exactly what the ordered merge needs.
-struct Session::UnitResult {
+struct Session::UnitResult : Verdict {
   bool FrontEndOk = false;
   /// Preprocess through verify, remapped to file-attributed coordinates.
   std::vector<Diagnostic> FrontEndDiags;
@@ -164,10 +165,6 @@ struct Session::UnitResult {
   std::vector<Diagnostic> CheckDiags;
   pp::PpStats Pp;
   frontend::LinkSummary Link;
-  checker::CheckCounts Counts;
-  /// Work items checked, and the schedule when the task fanned out.
-  checker::ParallelStats Pipeline;
-  checker::incremental::RecheckStats Incremental;
 };
 
 void Session::checkUnit(const frontend::InputFile &In,
@@ -181,39 +178,36 @@ void Session::checkUnit(const frontend::InputFile &In,
       frontend::compileUnit(In.Name, In.Text, CO, FrontDiags, &Metrics);
   R.FrontEndOk = U.FrontEndOk;
   R.Pp = U.Pp.Stats;
-  R.Link = frontend::summarizeUnit(U);
   R.FrontEndDiags = FrontDiags.diagnostics();
-  frontend::remapDiagnostics(R.FrontEndDiags, 0, U.Name, U.Pp.Map);
-
-  if (U.FrontEndOk) {
-    stats::ScopedTimer Timer(&Metrics, "phase.qualcheck_seconds");
-    DiagnosticEngine CheckDiags;
-    if (Store) {
-      // The TU's post-preprocess stream hash re-keys every work item in
-      // the unit: a header edit dirties every includer.
-      checker::incremental::Hash128 Seed;
-      Seed.A = U.Pp.StreamHashA;
-      Seed.B = U.Pp.StreamHashB;
-      // Snapshots are per TU: signature-change invalidation must diff a
-      // TU against its own previous version, not a sibling's.
-      std::string Unit = Opts.IncrementalUnit.empty()
-                             ? U.Name
-                             : Opts.IncrementalUnit + "/" + U.Name;
-      R.Counts = Store->recheck(Unit, *U.Program, *QualsView, CheckDiags,
-                                Opts.Checker, Jobs, &R.Incremental,
-                                Opts.SharedPool, &Seed);
-      R.Pipeline = {R.Incremental.Units, R.Incremental.Jobs,
-                    R.Incremental.Executed, R.Incremental.Steals};
-    } else {
-      R.Counts = checker::checkProgramParallel(*U.Program, *QualsView,
-                                               CheckDiags, Opts.Checker, Jobs,
-                                               &R.Pipeline, Opts.SharedPool)
-                     .counts();
-    }
-    R.CheckDiags = CheckDiags.diagnostics();
-    frontend::remapDiagnostics(R.CheckDiags, 0, U.Name, U.Pp.Map);
+  {
+    trace::Span SummarySpan("summary");
+    stats::ScopedTimer Timer(&Metrics, "phase.summary_seconds");
+    R.Link = frontend::summarizeUnit(U);
   }
 
+  if (U.FrontEndOk) {
+    DiagnosticEngine CheckDiags;
+    // The TU's post-preprocess stream hash re-keys every work item in the
+    // unit: a header edit dirties every includer. Snapshots are per TU:
+    // signature-change invalidation must diff a TU against its own
+    // previous version, not a sibling's.
+    checker::incremental::Hash128 Seed;
+    Seed.A = U.Pp.StreamHashA;
+    Seed.B = U.Pp.StreamHashB;
+    checkProgram(*U.Program, CheckDiags, Jobs, Store,
+                 Opts.IncrementalUnit.empty()
+                     ? U.Name
+                     : Opts.IncrementalUnit + "/" + U.Name,
+                 &Seed, R);
+    R.CheckDiags = CheckDiags.diagnostics();
+  }
+
+  {
+    trace::Span RemapSpan("remap");
+    stats::ScopedTimer Timer(&Metrics, "phase.remap_seconds");
+    frontend::remapDiagnostics(R.FrontEndDiags, 0, U.Name, U.Pp.Map);
+    frontend::remapDiagnostics(R.CheckDiags, 0, U.Name, U.Pp.Map);
+  }
   trace::Span FreeSpan("free");
   stats::ScopedTimer Timer(&Metrics, "phase.free_seconds");
   U = {};
@@ -288,7 +282,7 @@ Session::checkUnits(const std::vector<frontend::InputFile> &Inputs,
     for (UnitResult &U : Units) {
       for (Diagnostic &D : U.CheckDiags)
         Diags.report(std::move(D));
-      Out.Result += U.Counts;
+      Out.Result += U.Result;
       Out.Pipeline.Units += U.Pipeline.Units;
       Incr.Units += U.Incremental.Units;
       Incr.Hits += U.Incremental.Hits;
@@ -302,9 +296,6 @@ Session::checkUnits(const std::vector<frontend::InputFile> &Inputs,
     Out.Pipeline.Executed = N == 1 ? Units[0].Pipeline.Executed
                                    : Fanout.Executed;
     Out.Pipeline.Steals = N == 1 ? Units[0].Pipeline.Steals : Fanout.Steals;
-    Incr.Jobs = Jobs;
-    Incr.Executed = Out.Pipeline.Executed;
-    Incr.Steals = Out.Pipeline.Steals;
     publishCheckMetrics(Out.Result, Out.Pipeline);
     if (Store)
       publishIncrementalMetrics(Incr);
@@ -329,28 +320,6 @@ checker::incremental::Engine &Session::incrementalEngine() {
   if (!OwnedIncremental)
     OwnedIncremental = std::make_unique<checker::incremental::Engine>();
   return *OwnedIncremental;
-}
-
-Session::RecheckOutcome Session::recheck(const std::string &Source) {
-  RecheckOutcome Out;
-  if (!loadQualifiers()) {
-    publishDiagMetrics();
-    return Out;
-  }
-  Out.Program = frontEnd(Source, Out.FrontEndOk);
-  if (Out.FrontEndOk) {
-    stats::ScopedTimer Timer(&Metrics, "phase.qualcheck_seconds");
-    Out.Result = incrementalEngine().recheck(
-        Opts.IncrementalUnit, *Out.Program, *QualsView, Diags, Opts.Checker,
-        Opts.Jobs, &Out.Stats, Opts.SharedPool);
-  }
-  if (Out.FrontEndOk) {
-    publishCheckMetrics(Out.Result, {Out.Stats.Units, Out.Stats.Jobs,
-                                     Out.Stats.Executed, Out.Stats.Steals});
-    publishIncrementalMetrics(Out.Stats);
-  }
-  publishDiagMetrics();
-  return Out;
 }
 
 void Session::loadCacheFile() {
@@ -448,10 +417,10 @@ Session::RunOutcome Session::run(const std::string &Source) {
       VO.Cache = CachePtr;
       VO.Metrics = &Metrics;
       Out.Run = vm::runProgram(*Out.Check.Program, *QualsView,
-                               Out.Check.Result.RuntimeChecks, VO);
+                               Out.Check.RuntimeChecks, VO);
     } else {
       Out.Run = interp::runProgram(*Out.Check.Program, *QualsView,
-                                   Out.Check.Result.RuntimeChecks, Opts.Interp);
+                                   Out.Check.RuntimeChecks, Opts.Interp);
     }
   }
   publishRunMetrics(Out.Run);
@@ -465,7 +434,9 @@ Session::InferenceReport Session::infer(const std::string &Source) {
     return Out;
   }
   loadCacheFile();
-  Out.Program = frontEnd(Source, Out.FrontEndOk);
+  Out.FrontEndOk =
+      cminus::runFrontEnd(Source, QualsView->names(), QualsView->refNames(),
+                          Diags, Out.Program, &Metrics);
   if (Out.FrontEndOk) {
     stats::ScopedTimer Timer(&Metrics, "phase.infer_seconds");
     checker::ConstraintInferenceOptions CI;
@@ -531,11 +502,9 @@ void Session::publishCheckMetrics(const checker::CheckCounts &Result,
   Metrics.set("check.elided_cast_checks", S.ElidedCastChecks);
   Metrics.set("check.format_string_checks", S.FormatStringChecks);
   Metrics.set("check.runtime_checks", Result.RuntimeCheckCount);
-  // Scheduling-dependent counters (see docs/OBSERVABILITY.md): the
-  // hasQualifier memo is per checker instance, and pool accounting
-  // depends on the job count by definition.
   Metrics.set("check.memo.has_qual_queries", S.HasQualQueries);
   Metrics.set("check.memo.hits", S.MemoHits);
+  // Scheduling-dependent by definition (see docs/OBSERVABILITY.md).
   Metrics.set("pool.jobs", Pipeline.Jobs);
   Metrics.set("pool.executed", Pipeline.Executed);
   Metrics.set("pool.steals", Pipeline.Steals);

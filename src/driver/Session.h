@@ -89,8 +89,8 @@ struct SessionOptions {
   /// counter drops).
   bool VmElideChecks = true;
 
-  /// Worker threads for check() and prove(); <= 1 is the sequential
-  /// baseline (byte-identical diagnostics for any value).
+  /// Worker threads for check() and prove(); <= 1 runs on the calling
+  /// thread (byte-identical diagnostics for any value).
   unsigned Jobs = 1;
   /// prove(): run a silent first pass so the reported pass replays
   /// entirely from the prover cache.
@@ -173,57 +173,51 @@ public:
   /// first outcome). All entry points below call this themselves.
   bool loadQualifiers();
 
-  /// Result of check(): the front end's program (when it got that far)
-  /// plus the typechecker's verdict and pipeline counters.
-  struct CheckOutcome {
-    /// False when parse/sema/lower/verify failed; Result is then empty.
-    bool FrontEndOk = false;
-    checker::CheckResult Result;
+  /// The check step's verdict on one lowered program, or its sum over a
+  /// multi-TU input.
+  struct Verdict {
+    checker::CheckCounts Result;
+    /// Work items checked (check.units) and the fan-out's schedule.
     checker::ParallelStats Pipeline;
+    /// What the verdict store served (recheck(), recheckFiles() only).
+    checker::incremental::RecheckStats Incremental;
+  };
+
+  /// Result of check() and recheck(): the front end's program (when it got
+  /// that far) plus the check step's verdict.
+  struct CheckOutcome : Verdict {
+    /// False when parse/sema/lower/verify failed; the verdict is then empty.
+    bool FrontEndOk = false;
+    /// The cast checks run() executes. Empty after recheck(): stored
+    /// verdicts hold only counts.
+    std::vector<checker::RuntimeCastCheck> RuntimeChecks;
     std::unique_ptr<cminus::Program> Program;
   };
   /// Front end + extensible typechecker over `Jobs` workers.
   CheckOutcome check(const std::string &Source);
-
-  /// Result of recheck(): same verdict shape as check(), but record lists
-  /// are counts (cached verdicts cannot hold AST pointers) and the
-  /// pipeline stats say how much of the unit was served from the store.
-  struct RecheckOutcome {
-    bool FrontEndOk = false;
-    checker::incremental::RecheckResult Result;
-    checker::incremental::RecheckStats Stats;
-    std::unique_ptr<cminus::Program> Program;
-  };
-  /// Front end + incremental re-check: items whose content hash is in the
-  /// verdict store replay their cached diagnostics; the rest re-check over
-  /// `Jobs` workers. Diagnostics and verdicts are byte-identical to
+  /// check() through the incremental verdict store: items whose content
+  /// hash is stored replay their diagnostics. Output is byte-identical to
   /// check() on the same source at any job count.
-  RecheckOutcome recheck(const std::string &Source);
+  CheckOutcome recheck(const std::string &Source);
 
   /// Result of checkFiles()/recheckFiles(): the multi-TU verdict merged
-  /// over every TU in input order. Counts only: each TU's AST is freed by
-  /// the task that built it, before the call returns.
-  struct FilesOutcome {
+  /// over every TU in input order (all zero unless loaded(): checker
+  /// output is withheld from a failed load). Counts only: each TU's AST is
+  /// freed by the task that built it, before the call returns.
+  struct FilesOutcome : Verdict {
     /// Every TU preprocessed/parsed/sema'd/lowered/verified clean.
     bool FrontEndOk = false;
     /// The cross-TU symbol resolution found no conflicts.
     bool LinkOk = false;
     /// Translation units compiled (one per input).
     unsigned Units = 0;
-    /// The checker's verdict summed over every TU; all zero unless
-    /// loaded() (checker output is withheld from a failed load).
-    checker::CheckCounts Result;
-    /// Work items checked (check.units) and the TU fan-out's schedule.
-    checker::ParallelStats Pipeline;
-    /// recheckFiles() only: what the verdict store served, summed over TUs.
-    checker::incremental::RecheckStats Incremental;
 
     bool loaded() const { return FrontEndOk && LinkOk; }
     bool ok() const { return loaded() && Result.ok(); }
   };
   /// The real-C multi-TU pipeline. Each input is one pool task (over
   /// `Jobs` workers) that preprocesses it (SessionOptions::IncludeDirs/
-  /// Defines), parses, sema-checks, lowers, verifies, and checks it, then
+  /// Defines), runs the same front end and check step as check(), then
   /// frees its AST and preprocessed text on the thread that built them,
   /// keeping only remapped diagnostics, counts, and a link summary. So
   /// about `Jobs` TUs are alive at once. A serial tail then reports
@@ -302,9 +296,17 @@ public:
   void emitMetrics(std::ostream &OS, metrics::Format Format);
 
 private:
-  /// parse + sema + lower + verify, recording phase.*_seconds.
-  std::unique_ptr<cminus::Program> frontEnd(const std::string &Source,
-                                            bool &Ok);
+  /// The one single-source body behind check() (\p Store null) and
+  /// recheck().
+  CheckOutcome checkSingle(const std::string &Source,
+                           checker::incremental::Engine *Store);
+  /// The check step of single sources and per-TU tasks: checks \p Prog
+  /// into \p D, through \p Store when given (see Engine::recheck for
+  /// \p Unit and \p Seed). Returns run()'s cast checks; none via a store.
+  std::vector<checker::RuntimeCastCheck>
+  checkProgram(cminus::Program &Prog, DiagnosticEngine &D, unsigned Jobs,
+               checker::incremental::Engine *Store, const std::string &Unit,
+               const checker::incremental::Hash128 *Seed, Verdict &Out);
   /// The shared per-TU compile configuration for checkFiles().
   frontend::CompileOptions compileOptions() const;
   struct UnitResult;

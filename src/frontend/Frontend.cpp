@@ -2,9 +2,7 @@
 
 #include "frontend/Frontend.h"
 
-#include "cminus/Lowering.h"
 #include "cminus/Parser.h"
-#include "cminus/Sema.h"
 #include "cminus/Type.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
@@ -32,26 +30,10 @@ TUnit stq::frontend::compileUnit(const std::string &Name,
     stats::ScopedTimer Timer(Metrics, "phase.pp_seconds");
     U.Pp = pp::preprocess(Name, Text, *R, Opts.Pp, Diags);
   }
-  if (!U.Pp.Ok)
-    return U;
-  {
-    stats::ScopedTimer Timer(Metrics, "phase.parse_seconds");
-    U.Program = cminus::parseProgram(U.Pp.Text, Opts.QualNames, Diags);
-  }
-  if (!U.Program || Diags.hasErrors())
-    return U;
-  {
-    stats::ScopedTimer Timer(Metrics, "phase.sema_seconds");
-    if (!cminus::runSema(*U.Program, Opts.RefQualNames, Diags))
-      return U;
-  }
-  stats::ScopedTimer Timer(Metrics, "phase.lower_seconds");
-  if (!cminus::lowerProgram(*U.Program, Diags))
-    return U;
-  trace::Span Span("verify");
-  if (!cminus::verifyLoweredProgram(*U.Program, Diags))
-    return U;
-  U.FrontEndOk = true;
+  if (U.Pp.Ok)
+    U.FrontEndOk = cminus::runFrontEnd(U.Pp.Text, Opts.QualNames,
+                                       Opts.RefQualNames, Diags, U.Program,
+                                       Metrics);
   return U;
 }
 

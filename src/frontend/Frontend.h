@@ -21,9 +21,9 @@
 /// location becomes (physical line in the originating file), the
 /// Diagnostic::File field carries the file name, and included or
 /// macro-expanded lines grow "in file included from ..." / "in expansion
-/// of macro ..." notes. The classic single-input pipeline never goes
-/// through here and renders byte-identically to every release since the
-/// seed.
+/// of macro ..." notes. A single source skips the preprocessor and the
+/// remap, so it renders byte-identically to every release since the seed,
+/// but shares cminus::runFrontEnd() and Session's check step with a TU.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,7 +75,7 @@ struct TUnit {
   bool FrontEndOk = false;
 };
 
-/// Compiles one TU: preprocess, parse, sema, lower, verify. Diagnostics
+/// Compiles one TU: preprocess, then cminus::runFrontEnd(). Diagnostics
 /// land in \p Diags in TU-local (post-expansion) form — run
 /// remapDiagnostics() over them before rendering. Thread-safe against
 /// other compileUnit() calls on distinct \p Diags engines. When

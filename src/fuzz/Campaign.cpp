@@ -527,7 +527,7 @@ void qualSetOracles(const std::string &Src, const GeneratedQualSet *Set,
 
 /// The session counters that must not depend on *how* a verdict was
 /// produced: the snapshot's counters with scheduling-dependent prefixes
-/// (pool.*, check.memo.*, incremental.*, ...) erased. Zero-valued entries
+/// (pool.*, incremental.*, ...) erased. Zero-valued entries
 /// are dropped too — warm and cold paths may materialize different zero
 /// counters, and 0-vs-absent is presentational, not semantic.
 std::map<std::string, uint64_t>

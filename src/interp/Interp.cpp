@@ -118,6 +118,8 @@ private:
   std::map<const StrConstExpr *, uint32_t> StringBlocks;
   RunResult Result;
   bool Halted = false;
+  /// Active callFunction() frames (see MaxCallDepth).
+  unsigned Depth = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -592,6 +594,11 @@ Value Interpreter::callFunction(const FuncDecl *Fn,
                                 SourceLoc At, bool AuditParams) {
   if (!spendFuel())
     return Value::makeInt(0);
+  if (Depth == MaxCallDepth) {
+    Halted = true;
+    Result.Status = RunStatus::FuelExhausted;
+    return Value::makeInt(0);
+  }
   Frame F;
   for (size_t I = 0; I < Fn->Params.size(); ++I) {
     uint32_t Id = allocBlockForType(Fn->Params[I]->DeclaredTy,
@@ -605,7 +612,9 @@ Value Interpreter::callFunction(const FuncDecl *Fn,
   }
   (void)At;
   Value RetVal = Value::makeInt(0);
+  ++Depth;
   execStmt(Fn->Body, F, RetVal);
+  --Depth;
   return RetVal;
 }
 

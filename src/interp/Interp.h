@@ -116,6 +116,12 @@ struct RunResult {
   bool ok() const { return Status == RunStatus::Ok; }
 };
 
+/// The deepest chain of active C-minus calls either engine runs: the
+/// interpreter recurses natively per call, and an overflowed native stack
+/// kills stqc or stqd. A call past it ends the run as FuelExhausted, at the
+/// same step on both engines.
+constexpr unsigned MaxCallDepth = 512;
+
 struct InterpOptions {
   std::string EntryPoint = "main";
   uint64_t Fuel = 10'000'000;

@@ -50,13 +50,18 @@ int execProve(Session &S, const Invocation &Inv, std::ostream &Out,
   return 0;
 }
 
-/// Renders the diagnostics, then the verdict line every check flavour
-/// prints: check, recheck, and their multi-TU forms are byte-identical on
-/// the same input (the fuzz campaign's frontend oracle compares a split
+/// Every check flavour: single source or multi-TU input, with (recheck) or
+/// without the verdict store. All four print byte-identical output on the
+/// same program (the fuzz campaign's frontend oracle compares a split
 /// program against its flattened single-TU run this way).
-int reportVerdict(Session &S, const Invocation &Inv,
-                  const checker::CheckCounts &Result, std::ostream &Out,
-                  std::ostream &Err) {
+int execCheck(Session &S, const Invocation &Inv, std::ostream &Out,
+              std::ostream &Err) {
+  const bool Store = Inv.Command == "recheck";
+  const checker::CheckCounts Result =
+      Inv.Inputs.empty()
+          ? (Store ? S.recheck(Inv.Source) : S.check(Inv.Source)).Result
+          : (Store ? S.recheckFiles(Inv.Inputs) : S.checkFiles(Inv.Inputs))
+                .Result;
   reportDiagnostics(S, Inv, Err);
   if (S.diags().hasErrors()) {
     emitMetrics(S, Inv, Out);
@@ -68,25 +73,6 @@ int reportVerdict(Session &S, const Invocation &Inv,
       << Result.RuntimeCheckCount << ")\n";
   emitMetrics(S, Inv, Out);
   return Result.ok() ? 0 : 1;
-}
-
-int execCheck(Session &S, const Invocation &Inv, std::ostream &Out,
-              std::ostream &Err) {
-  return reportVerdict(S, Inv, S.check(Inv.Source).Result.counts(), Out, Err);
-}
-
-int execRecheck(Session &S, const Invocation &Inv, std::ostream &Out,
-                std::ostream &Err) {
-  return reportVerdict(S, Inv, S.recheck(Inv.Source).Result, Out, Err);
-}
-
-/// The multi-TU check: check and recheck differ only in whether the
-/// verdict store is consulted.
-int execCheckFiles(Session &S, const Invocation &Inv, bool Incremental,
-                   std::ostream &Out, std::ostream &Err) {
-  Session::FilesOutcome OutC =
-      Incremental ? S.recheckFiles(Inv.Inputs) : S.checkFiles(Inv.Inputs);
-  return reportVerdict(S, Inv, OutC.Result, Out, Err);
 }
 
 /// The stqd `eval` command: checks one shipped corpus program and returns
@@ -333,13 +319,8 @@ ExecResult stq::server::executeInvocation(const Invocation &Inv,
     Session S(SOpts);
     if (Inv.Command == "prove")
       R.ExitCode = execProve(S, Inv, Out, Err);
-    else if (MultiInput)
-      R.ExitCode =
-          execCheckFiles(S, Inv, Inv.Command == "recheck", Out, Err);
-    else if (Inv.Command == "check")
+    else if (Inv.Command == "check" || Inv.Command == "recheck")
       R.ExitCode = execCheck(S, Inv, Out, Err);
-    else if (Inv.Command == "recheck")
-      R.ExitCode = execRecheck(S, Inv, Out, Err);
     else if (Inv.Command == "run")
       R.ExitCode = execRun(S, Inv, Out, Err);
     else

@@ -799,6 +799,13 @@ private:
           break; // Frame changed: fall out to re-cache.
         }
         case Op::Call: {
+          // Frame 0 is the entry stub, not a C-minus call.
+          if (Frames.size() > interp::MaxCallDepth) {
+            Result.Steps = Steps;
+            Result.Status = RunStatus::FuelExhausted;
+            Halted = true;
+            return;
+          }
           const FnCode &Callee = M.Fns[I.Extra];
           uint32_t ArgBase = RegBase + I.B;
           uint32_t Argc = I.C;

@@ -3,7 +3,6 @@
 #include "workloads/AnnotationDriver.h"
 
 #include "checker/Checker.h"
-#include "cminus/Lowering.h"
 #include "cminus/Parser.h"
 #include "cminus/Sema.h"
 #include "qual/Builtins.h"
@@ -285,12 +284,8 @@ std::unique_ptr<Program> prepare(const GeneratedWorkload &W,
                                  DiagnosticEngine &Diags) {
   if (!qual::loadBuiltinQualifiers(QualNames, Quals, Diags))
     return nullptr;
-  auto Prog = parseProgram(W.Source, Quals.names(), Diags);
-  if (Diags.hasErrors())
-    return nullptr;
-  if (!runSema(*Prog, Quals.refNames(), Diags))
-    return nullptr;
-  if (!lowerProgram(*Prog, Diags))
+  std::unique_ptr<Program> Prog;
+  if (!runFrontEnd(W.Source, Quals.names(), Quals.refNames(), Diags, Prog))
     return nullptr;
   return Prog;
 }

@@ -249,17 +249,19 @@ TEST(PipelineStress, RepeatedParallelChecks) {
 
   DiagnosticEngine BaseDiags;
   std::unique_ptr<cminus::Program> BaseProg;
-  checker::CheckResult Base = checker::checkSourceParallel(
-      Source, Quals, BaseDiags, BaseProg, {}, 1);
+  checker::CheckResult Base =
+      checker::checkSource(Source, Quals, BaseDiags, BaseProg);
   ASSERT_FALSE(BaseDiags.hasErrors());
   EXPECT_EQ(Base.QualErrors, 40u);
 
   for (unsigned Round = 0; Round < 10; ++Round) {
-    DiagnosticEngine Diags;
-    checker::CheckResult Result =
-        checker::checkProgramParallel(*BaseProg, Quals, Diags, {}, 8);
-    ASSERT_EQ(Result.QualErrors, Base.QualErrors) << "round " << Round;
-    ASSERT_EQ(Diags.diagnostics().size(), BaseDiags.diagnostics().size());
+    for (unsigned Jobs : {1u, 8u}) {
+      DiagnosticEngine Diags;
+      checker::CheckResult Result =
+          checker::checkProgramParallel(*BaseProg, Quals, Diags, {}, Jobs);
+      ASSERT_EQ(Result.QualErrors, Base.QualErrors) << "round " << Round;
+      ASSERT_EQ(Diags.diagnostics().size(), BaseDiags.diagnostics().size());
+    }
   }
 }
 

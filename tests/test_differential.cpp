@@ -11,6 +11,7 @@
 
 #include "checker/Checker.h"
 #include "checker/Parallel.h"
+#include "cminus/Parser.h"
 #include "fuzz/ProgramGen.h"
 #include "fuzz/ProverSessionGen.h"
 #include "prover/ProverCache.h"
@@ -58,6 +59,9 @@ struct CheckOutcome {
   size_t Failures = 0;
 };
 
+/// Checks \p Source with the sequential reference (checker::checkSource:
+/// one QualChecker::run()) when \p Jobs is 0, else with the work-item loop
+/// (checkProgramParallel) over \p Jobs workers.
 CheckOutcome runCheck(const std::string &Source, unsigned Jobs) {
   CheckOutcome Out;
   DiagnosticEngine Diags;
@@ -65,8 +69,12 @@ CheckOutcome runCheck(const std::string &Source, unsigned Jobs) {
   EXPECT_TRUE(
       qual::loadBuiltinQualifiers(fuzz::programQualifiers(), Quals, Diags));
   std::unique_ptr<cminus::Program> Prog;
-  checker::CheckResult Result =
-      checker::checkSourceParallel(Source, Quals, Diags, Prog, {}, Jobs);
+  checker::CheckResult Result;
+  if (Jobs == 0)
+    Result = checker::checkSource(Source, Quals, Diags, Prog);
+  else if (cminus::runFrontEnd(Source, Quals.names(), Quals.refNames(), Diags,
+                               Prog))
+    Result = checker::checkProgramParallel(*Prog, Quals, Diags, {}, Jobs);
   EXPECT_FALSE(Diags.hasErrors()) << "generator produced invalid source:\n"
                                   << Source;
   Out.Diags = renderAll(Diags);
@@ -77,41 +85,45 @@ CheckOutcome runCheck(const std::string &Source, unsigned Jobs) {
 }
 
 //===----------------------------------------------------------------------===//
-// Checker differential: --jobs 4 vs sequential
+// Checker differential: the work-item loop vs the sequential reference
 //===----------------------------------------------------------------------===//
 
 TEST(DifferentialChecker, RandomProgramsParallelMatchesSequential) {
   for (uint64_t Seed = 0; Seed < 25; ++Seed) {
     std::string Source = mixedProgram(Seed);
-    CheckOutcome Seq = runCheck(Source, 1);
-    CheckOutcome Par = runCheck(Source, 4);
+    CheckOutcome Seq = runCheck(Source, 0);
+    for (unsigned Jobs : {1u, 4u}) {
+      CheckOutcome Par = runCheck(Source, Jobs);
 
-    // The contract is byte-identical output in the same order, which is
-    // strictly stronger than the sorted comparison; check the exact
-    // sequence first so ordering bugs are not masked.
-    EXPECT_EQ(Seq.Diags, Par.Diags) << "seed " << Seed << "\n" << Source;
+      // The contract is byte-identical output in the same order, which is
+      // strictly stronger than the sorted comparison; check the exact
+      // sequence first so ordering bugs are not masked.
+      EXPECT_EQ(Seq.Diags, Par.Diags)
+          << "seed " << Seed << " jobs " << Jobs << "\n" << Source;
 
-    // And the location-sorted comparison the harness specifies, so a
-    // future relaxation of the ordering contract still gets content
-    // equality checked.
-    std::vector<std::string> SeqSorted = Seq.Diags, ParSorted = Par.Diags;
-    std::sort(SeqSorted.begin(), SeqSorted.end());
-    std::sort(ParSorted.begin(), ParSorted.end());
-    EXPECT_EQ(SeqSorted, ParSorted) << "seed " << Seed;
+      // And the location-sorted comparison the harness specifies, so a
+      // future relaxation of the ordering contract still gets content
+      // equality checked.
+      std::vector<std::string> SeqSorted = Seq.Diags, ParSorted = Par.Diags;
+      std::sort(SeqSorted.begin(), SeqSorted.end());
+      std::sort(ParSorted.begin(), ParSorted.end());
+      EXPECT_EQ(SeqSorted, ParSorted) << "seed " << Seed << " jobs " << Jobs;
 
-    EXPECT_EQ(Seq.QualErrors, Par.QualErrors) << "seed " << Seed;
-    EXPECT_EQ(Seq.RuntimeChecks, Par.RuntimeChecks) << "seed " << Seed;
-    EXPECT_EQ(Seq.Failures, Par.Failures) << "seed " << Seed;
+      EXPECT_EQ(Seq.QualErrors, Par.QualErrors) << "seed " << Seed;
+      EXPECT_EQ(Seq.RuntimeChecks, Par.RuntimeChecks) << "seed " << Seed;
+      EXPECT_EQ(Seq.Failures, Par.Failures) << "seed " << Seed;
+    }
   }
 }
 
 TEST(DifferentialChecker, JobSweepIsInvariant) {
-  // One program, every job count: all outputs identical to --jobs 1.
+  // One program, every job count: all outputs identical to the
+  // sequential reference.
   std::string Source = mixedProgram(12345);
-  CheckOutcome Base = runCheck(Source, 1);
+  CheckOutcome Base = runCheck(Source, 0);
   EXPECT_GT(Base.QualErrors, 0u)
       << "generator should plant qualifier errors; got none:\n" << Source;
-  for (unsigned Jobs : {2u, 3u, 4u, 8u, 16u}) {
+  for (unsigned Jobs : {1u, 2u, 3u, 4u, 8u, 16u}) {
     CheckOutcome Out = runCheck(Source, Jobs);
     EXPECT_EQ(Base.Diags, Out.Diags) << "jobs " << Jobs;
     EXPECT_EQ(Base.QualErrors, Out.QualErrors) << "jobs " << Jobs;

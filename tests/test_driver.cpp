@@ -321,7 +321,7 @@ TEST(Session, CheckPublishesMetrics) {
   Session::CheckOutcome Out = S.check(Fig2Program);
   ASSERT_TRUE(Out.FrontEndOk);
   EXPECT_EQ(Out.Result.QualErrors, 0u);
-  EXPECT_EQ(Out.Result.RuntimeChecks.size(), 3u);
+  EXPECT_EQ(Out.RuntimeChecks.size(), 3u);
 
   stats::Registry &M = S.metrics();
   EXPECT_GE(M.counter("check.units").get(), 3u);

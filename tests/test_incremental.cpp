@@ -58,14 +58,14 @@ SessionOptions withEngine(Engine *E, std::vector<std::string> Builtins = {}) {
 
 /// Runs one warm recheck in a fresh Session (the server's per-request
 /// shape) and returns the outcome plus the rendered diagnostics.
-Session::RecheckOutcome recheckOnce(Engine &E, const std::string &Source,
-                                    std::string *DiagText = nullptr,
-                                    std::vector<std::string> Builtins = {},
-                                    unsigned Jobs = 1) {
+Session::CheckOutcome recheckOnce(Engine &E, const std::string &Source,
+                                  std::string *DiagText = nullptr,
+                                  std::vector<std::string> Builtins = {},
+                                  unsigned Jobs = 1) {
   SessionOptions Opts = withEngine(&E, std::move(Builtins));
   Opts.Jobs = Jobs;
   Session S(Opts);
-  Session::RecheckOutcome Out = S.recheck(Source);
+  Session::CheckOutcome Out = S.recheck(Source);
   if (DiagText) {
     std::ostringstream OS;
     S.diags().print(OS);
@@ -96,40 +96,40 @@ Session::CheckOutcome checkOnce(const std::string &Source,
 
 TEST(Incremental, ColdRunMissesThenIdenticalRunFullyHits) {
   Engine E;
-  Session::RecheckOutcome Cold = recheckOnce(E, ChainV0);
+  Session::CheckOutcome Cold = recheckOnce(E, ChainV0);
   ASSERT_TRUE(Cold.FrontEndOk);
-  EXPECT_EQ(Cold.Stats.Units, 5u);
-  EXPECT_EQ(Cold.Stats.Hits, 0u);
-  EXPECT_EQ(Cold.Stats.Rechecked, 5u);
+  EXPECT_EQ(Cold.Incremental.Units, 5u);
+  EXPECT_EQ(Cold.Incremental.Hits, 0u);
+  EXPECT_EQ(Cold.Incremental.Rechecked, 5u);
 
-  Session::RecheckOutcome Warm = recheckOnce(E, ChainV0);
-  EXPECT_EQ(Warm.Stats.Hits, 5u);
-  EXPECT_EQ(Warm.Stats.Rechecked, 0u);
-  EXPECT_EQ(Warm.Stats.SignatureDirtied, 0u);
+  Session::CheckOutcome Warm = recheckOnce(E, ChainV0);
+  EXPECT_EQ(Warm.Incremental.Hits, 5u);
+  EXPECT_EQ(Warm.Incremental.Rechecked, 0u);
+  EXPECT_EQ(Warm.Incremental.SignatureDirtied, 0u);
   EXPECT_EQ(Warm.Result.QualErrors, Cold.Result.QualErrors);
 }
 
 TEST(Incremental, BodyOnlyEditRechecksExactlyThatFunction) {
   Engine E;
   recheckOnce(E, ChainV0);
-  Session::RecheckOutcome Out = recheckOnce(E, ChainBodyEdit);
+  Session::CheckOutcome Out = recheckOnce(E, ChainBodyEdit);
   ASSERT_TRUE(Out.FrontEndOk);
   // Only f1's content hash moved; globals, f0, f2, and main replay.
-  EXPECT_EQ(Out.Stats.Hits, 4u);
-  EXPECT_EQ(Out.Stats.Rechecked, 1u);
-  EXPECT_EQ(Out.Stats.SignatureDirtied, 0u);
+  EXPECT_EQ(Out.Incremental.Hits, 4u);
+  EXPECT_EQ(Out.Incremental.Rechecked, 1u);
+  EXPECT_EQ(Out.Incremental.SignatureDirtied, 0u);
 }
 
 TEST(Incremental, SignatureChangeDirtiesTransitiveCallers) {
   Engine E;
   recheckOnce(E, ChainV0);
-  Session::RecheckOutcome Out = recheckOnce(E, ChainSigEdit);
+  Session::CheckOutcome Out = recheckOnce(E, ChainSigEdit);
   ASSERT_TRUE(Out.FrontEndOk);
   // f0 misses on content; f1, f2, and main are its transitive callers and
   // are force-dirtied even where their own hashes still match (f2, main).
-  EXPECT_EQ(Out.Stats.SignatureDirtied, 3u);
-  EXPECT_EQ(Out.Stats.Rechecked, 4u);
-  EXPECT_EQ(Out.Stats.Hits, 1u); // The globals item alone replays.
+  EXPECT_EQ(Out.Incremental.SignatureDirtied, 3u);
+  EXPECT_EQ(Out.Incremental.Rechecked, 4u);
+  EXPECT_EQ(Out.Incremental.Hits, 1u); // The globals item alone replays.
 }
 
 TEST(Incremental, QualifierSetChangeDirtiesEveryWorkItem) {
@@ -137,21 +137,21 @@ TEST(Incremental, QualifierSetChangeDirtiesEveryWorkItem) {
   // "pos" and "neg" reference each other, so both stay in each set.
   std::vector<std::string> Wide = {"pos", "neg", "nonzero"};
   std::vector<std::string> Narrow = {"pos", "neg"};
-  Session::RecheckOutcome Cold = recheckOnce(E, ChainV0, nullptr, Wide);
-  EXPECT_EQ(Cold.Stats.Rechecked, 5u);
+  Session::CheckOutcome Cold = recheckOnce(E, ChainV0, nullptr, Wide);
+  EXPECT_EQ(Cold.Incremental.Rechecked, 5u);
 
   // Same source, smaller qualifier environment: the env hash feeds every
   // key, so nothing replays — but no signature changed.
-  Session::RecheckOutcome Switched = recheckOnce(E, ChainV0, nullptr, Narrow);
-  EXPECT_EQ(Switched.Stats.Hits, 0u);
-  EXPECT_EQ(Switched.Stats.Rechecked, 5u);
-  EXPECT_EQ(Switched.Stats.SignatureDirtied, 0u);
+  Session::CheckOutcome Switched = recheckOnce(E, ChainV0, nullptr, Narrow);
+  EXPECT_EQ(Switched.Incremental.Hits, 0u);
+  EXPECT_EQ(Switched.Incremental.Rechecked, 5u);
+  EXPECT_EQ(Switched.Incremental.SignatureDirtied, 0u);
 
   // Both environments' verdicts now coexist in the store: switching back
   // is a full hit, not a re-check.
-  Session::RecheckOutcome Back = recheckOnce(E, ChainV0, nullptr, Wide);
-  EXPECT_EQ(Back.Stats.Hits, 5u);
-  EXPECT_EQ(Back.Stats.Rechecked, 0u);
+  Session::CheckOutcome Back = recheckOnce(E, ChainV0, nullptr, Wide);
+  EXPECT_EQ(Back.Incremental.Hits, 5u);
+  EXPECT_EQ(Back.Incremental.Rechecked, 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -172,12 +172,12 @@ TEST(Incremental, WarmVerdictsAndDiagnosticsMatchColdCheckByteForByte) {
   Engine E;
   for (int Round = 0; Round < 3; ++Round) {
     std::string WarmDiags;
-    Session::RecheckOutcome Warm =
+    Session::CheckOutcome Warm =
         recheckOnce(E, Source, &WarmDiags, {}, Round == 2 ? 4u : 1u);
     ASSERT_TRUE(Warm.FrontEndOk);
     EXPECT_EQ(Warm.Result.QualErrors, Cold.Result.QualErrors);
     EXPECT_EQ(Warm.Result.Stats.AssignChecks, Cold.Result.Stats.AssignChecks);
-    EXPECT_EQ(Warm.Result.RuntimeCheckCount, Cold.Result.RuntimeChecks.size());
+    EXPECT_EQ(Warm.Result.RuntimeCheckCount, Cold.RuntimeChecks.size());
     EXPECT_EQ(WarmDiags, ColdDiags) << "round " << Round;
   }
 }
@@ -196,11 +196,11 @@ TEST(Incremental, EvictionAtCapacityBumpsCountersAndNeverChangesVerdicts) {
   uint64_t LastEvictions = 0;
   for (int Round = 0; Round < 3; ++Round) {
     std::string WarmDiags;
-    Session::RecheckOutcome Out = recheckOnce(Small, ChainV0, &WarmDiags);
+    Session::CheckOutcome Out = recheckOnce(Small, ChainV0, &WarmDiags);
     ASSERT_TRUE(Out.FrontEndOk);
     EXPECT_EQ(Out.Result.QualErrors, Cold.Result.QualErrors);
     EXPECT_EQ(WarmDiags, ColdDiags) << "round " << Round;
-    EXPECT_GT(Out.Stats.Rechecked, 0u) << "round " << Round;
+    EXPECT_GT(Out.Incremental.Rechecked, 0u) << "round " << Round;
     EXPECT_LE(Small.entries(), 3u);
     EXPECT_GT(Small.evictions(), LastEvictions) << "round " << Round;
     LastEvictions = Small.evictions();
@@ -214,9 +214,9 @@ TEST(Incremental, ZeroCapacityEngineCachesNothingButStaysCorrect) {
   Engine None(0);
   for (int Round = 0; Round < 2; ++Round) {
     std::string WarmDiags;
-    Session::RecheckOutcome Out = recheckOnce(None, ChainV0, &WarmDiags);
-    EXPECT_EQ(Out.Stats.Hits, 0u);
-    EXPECT_EQ(Out.Stats.Rechecked, 5u);
+    Session::CheckOutcome Out = recheckOnce(None, ChainV0, &WarmDiags);
+    EXPECT_EQ(Out.Incremental.Hits, 0u);
+    EXPECT_EQ(Out.Incremental.Rechecked, 5u);
     EXPECT_EQ(WarmDiags, ColdDiags);
   }
   EXPECT_EQ(None.entries(), 0u);
@@ -234,20 +234,20 @@ TEST(Incremental, EditedFunctionGetsFreshVerdictNotTheCachedOne) {
   const std::string V2 = "int f0(int a) { int pos p = 1; return a; }\n"
                          "int main() { return f0(2); }\n";
   Engine E;
-  Session::RecheckOutcome First = recheckOnce(E, V1);
+  Session::CheckOutcome First = recheckOnce(E, V1);
   EXPECT_EQ(First.Result.QualErrors, 1u);
   // Only f0 changed: the globals item and main (same line, unchanged
   // callee signature) replay, and f0 gets a fresh clean verdict.
-  Session::RecheckOutcome Fixed = recheckOnce(E, V2);
+  Session::CheckOutcome Fixed = recheckOnce(E, V2);
   EXPECT_EQ(Fixed.Result.QualErrors, 0u);
-  EXPECT_EQ(Fixed.Stats.Hits, 2u);
-  EXPECT_EQ(Fixed.Stats.Rechecked, 1u);
+  EXPECT_EQ(Fixed.Incremental.Hits, 2u);
+  EXPECT_EQ(Fixed.Incremental.Rechecked, 1u);
   // And the stale direction too: back to V1 replays the *old* warning
   // (still stored) rather than the fixed verdict.
-  Session::RecheckOutcome Again = recheckOnce(E, V1);
+  Session::CheckOutcome Again = recheckOnce(E, V1);
   EXPECT_EQ(Again.Result.QualErrors, 1u);
-  EXPECT_EQ(Again.Stats.Hits, 3u);
-  EXPECT_EQ(Again.Stats.Rechecked, 0u);
+  EXPECT_EQ(Again.Incremental.Hits, 3u);
+  EXPECT_EQ(Again.Incremental.Rechecked, 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -271,7 +271,7 @@ TEST(Incremental, CacheFileSurvivesRestartButVerdictStoreDoesNot) {
     Opts.CacheFile = CacheFile;
     Session S(Opts);
     EXPECT_FALSE(S.prove().empty());
-    Session::RecheckOutcome Out = S.recheck(V1);
+    Session::CheckOutcome Out = S.recheck(V1);
     ASSERT_TRUE(Out.FrontEndOk);
     EXPECT_EQ(Out.Result.QualErrors, 1u);
   }
@@ -286,15 +286,15 @@ TEST(Incremental, CacheFileSurvivesRestartButVerdictStoreDoesNot) {
     Opts.CacheFile = CacheFile;
     Session S(Opts);
     EXPECT_FALSE(S.prove().empty());
-    Session::RecheckOutcome Stale = S.recheck(V1);
-    EXPECT_EQ(Stale.Stats.Hits, 0u);
+    Session::CheckOutcome Stale = S.recheck(V1);
+    EXPECT_EQ(Stale.Incremental.Hits, 0u);
     EXPECT_EQ(Stale.Result.QualErrors, 1u);
   }
   {
     SessionOptions Opts = withEngine(&E2, {"pos", "neg"});
     Opts.CacheFile = CacheFile;
     Session S(Opts);
-    Session::RecheckOutcome Fixed = S.recheck(V2);
+    Session::CheckOutcome Fixed = S.recheck(V2);
     EXPECT_EQ(Fixed.Result.QualErrors, 0u);
     std::string WarmDiags;
     std::ostringstream OS;

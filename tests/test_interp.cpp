@@ -554,6 +554,26 @@ TEST(InterpFuel, InfiniteRecursionExhaustsFuel) {
   EXPECT_EQ(R.Status, RunStatus::FuelExhausted);
 }
 
+/// f(N) recurses N + 1 frames deep under main's: N + 2 active calls.
+std::string recursionTo(unsigned N) {
+  return "int f(int n) { if (n == 0) return 0; return f(n - 1) + 1; }\n"
+         "int main() { return f(" +
+         std::to_string(N) + "); }";
+}
+
+TEST(InterpFuel, CallDepthPastTheBoundExhaustsInsteadOfCrashing) {
+  // Deep enough to overflow an 8 MB native stack without the bound.
+  RunResult Deep = runWith(recursionTo(7000), {});
+  EXPECT_EQ(Deep.Status, RunStatus::FuelExhausted);
+  EXPECT_FALSE(Deep.ExitValue);
+  // One call past the bound exhausts; the deepest allowed chain returns.
+  EXPECT_EQ(runWith(recursionTo(MaxCallDepth - 1), {}).Status,
+            RunStatus::FuelExhausted);
+  RunResult Edge = runWith(recursionTo(MaxCallDepth - 2), {});
+  ASSERT_TRUE(Edge.ok()) << Edge.TrapMessage;
+  EXPECT_EQ(*Edge.ExitValue, MaxCallDepth - 2);
+}
+
 TEST(InterpFuel, TerminatingProgramIsUnaffected) {
   InterpOptions Options;
   Options.Fuel = 100000;

@@ -938,6 +938,37 @@ TEST(ServerEndToEnd, StatusReportsServerMetrics) {
   EXPECT_NE(Resp.Out.find("prover.cache.entries"), std::string::npos);
 }
 
+TEST(ServerEndToEnd, DeepRecursionRunIsAnsweredAndServerSurvives) {
+  // The tree-walking interpreter recurses natively per C-minus call: a
+  // request past interp::MaxCallDepth must end as budget exhaustion, not
+  // take the daemon's stack (and every other client) down with it.
+  stq::testing::TempDir Tmp;
+  ASSERT_TRUE(Tmp.valid());
+  server::ServerOptions Opts;
+  Opts.SocketPath = Tmp.path("stq.sock");
+  ServerFixture Fix(Opts);
+  ASSERT_TRUE(Fix.ok());
+
+  server::rpc::Request Run;
+  Run.Inv = checkInvocation(
+      "int f(int n) { if (n == 0) return 0; return f(n - 1) + 1; }\n"
+      "int main() { return f(20000); }\n");
+  Run.Inv.Command = "run";
+  Run.Inv.Session.Backend = SessionOptions::ExecBackend::Interp;
+  server::rpc::Response Resp;
+  std::string Error;
+  ASSERT_TRUE(roundTrip(Opts.SocketPath, Run, Resp, Error)) << Error;
+  EXPECT_EQ(Resp.Status, "ok");
+  EXPECT_EQ(Resp.ExitCode, 5);
+  EXPECT_EQ(Resp.Err, "error: step budget exhausted\n");
+
+  server::rpc::Request Status;
+  Status.Inv.Command = "status";
+  ASSERT_TRUE(roundTrip(Opts.SocketPath, Status, Resp, Error)) << Error;
+  EXPECT_EQ(Resp.Status, "ok");
+  EXPECT_EQ(Resp.ExitCode, 0);
+}
+
 TEST(ServerEndToEnd, ShutdownRequestDrainsAndSavesCache) {
   stq::testing::TempDir Tmp;
   ASSERT_TRUE(Tmp.valid());

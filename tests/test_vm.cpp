@@ -259,6 +259,25 @@ TEST(VmFuel, InfiniteLoopExhaustsBothEngines) {
   EXPECT_EQ(R.Vm.Steps, R.Interp.Steps);
 }
 
+TEST(VmFuel, CallDepthBoundAgreesWithInterpreter) {
+  // Past interp::MaxCallDepth both engines end the run as budget
+  // exhaustion at the same step (runAllEngines compares every observable);
+  // the deepest allowed chain returns on both.
+  const std::string F =
+      "int f(int n) { if (n == 0) return 0; return f(n - 1) + 1; }\n";
+  for (unsigned N : {7000u, interp::MaxCallDepth - 1}) {
+    EngineRuns R = runAllEngines(
+        F + "int main() { return f(" + std::to_string(N) + "); }", {});
+    EXPECT_EQ(R.Vm.Status, RunStatus::FuelExhausted) << N;
+  }
+  EngineRuns Edge = runAllEngines(
+      F + "int main() { return f(" +
+          std::to_string(interp::MaxCallDepth - 2) + "); }",
+      {});
+  ASSERT_TRUE(Edge.Vm.ok()) << Edge.Vm.TrapMessage;
+  EXPECT_EQ(*Edge.Vm.ExitValue, interp::MaxCallDepth - 2);
+}
+
 //===----------------------------------------------------------------------===//
 // Run-time qualifier checks and audits
 //===----------------------------------------------------------------------===//
