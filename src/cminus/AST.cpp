@@ -5,7 +5,7 @@
 using namespace stq::cminus;
 
 const StructDef::Field *StructDef::findField(
-    const std::string &FieldName) const {
+    std::string_view FieldName) const {
   for (const Field &F : Fields)
     if (F.Name == FieldName)
       return &F;
@@ -64,16 +64,26 @@ const char *stq::cminus::unaryOpSpelling(UnaryOp Op) {
   return "?";
 }
 
-FuncDecl *Program::findFunction(const std::string &Name) const {
-  for (FuncDecl *F : Functions)
-    if (F->Name == Name)
-      return F;
-  return nullptr;
+FuncDecl *Program::findFunction(std::string_view Name) const {
+  auto It = FunctionIndex.find(Name);
+  return It == FunctionIndex.end() ? nullptr : Functions[It->second];
 }
 
-StructDef *Program::findStruct(const std::string &Name) const {
-  for (StructDef *S : Structs)
-    if (S->Name == Name)
-      return S;
-  return nullptr;
+StructDef *Program::findStruct(std::string_view Name) const {
+  auto It = StructIndex.find(Name);
+  return It == StructIndex.end() ? nullptr : It->second;
+}
+
+void Program::addFunction(FuncDecl *Fn) {
+  FunctionIndex.emplace(Fn->Name, Functions.size());
+  Functions.push_back(Fn);
+}
+
+void Program::defineFunction(FuncDecl *Fn) {
+  Functions[FunctionIndex.at(Fn->Name)] = Fn;
+}
+
+void Program::addStruct(StructDef *S) {
+  StructIndex.emplace(S->Name, S);
+  Structs.push_back(S);
 }

@@ -25,6 +25,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace stq::cminus {
@@ -53,7 +55,7 @@ public:
   SourceLoc Loc;
 
   /// Returns the field named \p FieldName, or nullptr.
-  const Field *findField(const std::string &FieldName) const;
+  const Field *findField(std::string_view FieldName) const;
 };
 
 /// A variable declaration: global, local, or parameter. The declared type
@@ -479,12 +481,29 @@ private:
 class Program {
 public:
   ASTContext Ctx;
+  /// In definition order; findStruct() answers the first of a name.
   std::vector<StructDef *> Structs;
   std::vector<VarDecl *> Globals;
+  /// One entry per function name, in first-declaration order: the
+  /// definition once there is one, else the first prototype. Grown only
+  /// through addFunction/defineFunction, which keep findFunction() in
+  /// step.
   std::vector<FuncDecl *> Functions;
 
-  FuncDecl *findFunction(const std::string &Name) const;
-  StructDef *findStruct(const std::string &Name) const;
+  /// Hash lookups; the keys view names owned by this Program's nodes.
+  FuncDecl *findFunction(std::string_view Name) const;
+  StructDef *findStruct(std::string_view Name) const;
+
+  /// Appends \p Fn as the entry for a name not declared yet.
+  void addFunction(FuncDecl *Fn);
+  /// Makes the definition \p Fn the entry for its (declared) name.
+  void defineFunction(FuncDecl *Fn);
+  void addStruct(StructDef *S);
+
+private:
+  /// Name -> index into Functions.
+  std::unordered_map<std::string_view, size_t> FunctionIndex;
+  std::unordered_map<std::string_view, StructDef *> StructIndex;
 };
 
 } // namespace stq::cminus

@@ -4,40 +4,257 @@
 
 #include "cminus/Lowering.h"
 #include "cminus/Sema.h"
+#include "support/Lexer.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
+#include <string_view>
+#include <unordered_map>
 
 using namespace stq;
 using namespace stq::cminus;
-using namespace stq::cminus::detail;
+
+namespace {
+
+/// The C-minus keywords. They stay identifier tokens (a keyword spelling
+/// in expression position still names a variable); the parser tests the
+/// classification instead of the spelling.
+enum class Kw : uint8_t {
+  None,
+  Void,
+  Int,
+  Char,
+  Struct,
+  If,
+  Else,
+  While,
+  For,
+  Return,
+  Break,
+  Continue,
+  Null,
+  Sizeof,
+};
+
+Kw keywordOf(std::string_view S) {
+  switch (S.size()) {
+  case 2:
+    return S == "if" ? Kw::If : Kw::None;
+  case 3:
+    return S == "int" ? Kw::Int : S == "for" ? Kw::For : Kw::None;
+  case 4:
+    return S == "void"   ? Kw::Void
+           : S == "char" ? Kw::Char
+           : S == "else" ? Kw::Else
+           : S == "NULL" ? Kw::Null
+                         : Kw::None;
+  case 5:
+    return S == "while" ? Kw::While : S == "break" ? Kw::Break : Kw::None;
+  case 6:
+    return S == "struct"   ? Kw::Struct
+           : S == "return" ? Kw::Return
+           : S == "sizeof" ? Kw::Sizeof
+                           : Kw::None;
+  case 8:
+    return S == "continue" ? Kw::Continue : Kw::None;
+  default:
+    return Kw::None;
+  }
+}
+
+class Parser {
+public:
+  Parser(std::vector<Token> Tokens,
+         const std::vector<std::string> &QualifierNames,
+         DiagnosticEngine &Diags);
+
+  std::unique_ptr<Program> run();
+
+private:
+  /// Name id of non-identifier tokens.
+  static constexpr uint32_t NoName = UINT32_MAX;
+
+  // Token plumbing.
+  size_t indexAt(unsigned Ahead) const {
+    return std::min(Pos + Ahead, Tokens.size() - 1); // EndOfFile sentinel.
+  }
+  const Token &peek(unsigned Ahead = 0) const {
+    return Tokens[indexAt(Ahead)];
+  }
+  /// The interned name of the identifier \p Ahead tokens on, or NoName.
+  uint32_t nameAt(unsigned Ahead = 0) const { return Names[indexAt(Ahead)]; }
+  Kw keywordAt(unsigned Ahead = 0) const {
+    uint32_t Id = nameAt(Ahead);
+    return Id == NoName ? Kw::None : Keywords[Id];
+  }
+  /// True when the token \p Ahead on is a loaded qualifier name; qualifier
+  /// names take the first ids, in sorted order.
+  bool qualAt(unsigned Ahead = 0) const { return nameAt(Ahead) < QualNames.size(); }
+  const Token &advance();
+  bool check(TokenKind K) const { return peek().is(K); }
+  bool checkKw(Kw K) const { return keywordAt() == K; }
+  bool match(TokenKind K);
+  bool matchKw(Kw K);
+  bool expect(TokenKind K, const char *Context);
+  void error(const std::string &Message);
+  /// Skips tokens until a likely statement/declaration boundary.
+  void synchronize();
+
+  // Scopes: one binding per name id, with an undo log per scope.
+  void pushScope();
+  void popScope();
+  VarDecl *lookupVar(uint32_t Name) const { return Bindings[Name].Var; }
+  void declareVar(VarDecl *Var, uint32_t Name);
+
+  // Types.
+  bool atTypeStart(unsigned Ahead = 0) const;
+  /// Parses `basetype quals* ('*' quals*)*`; returns null on error.
+  TypePtr parseType();
+  /// Applies the postfix qualifiers at the cursor to \p Base.
+  TypePtr parseQuals(TypePtr Base);
+
+  // Top level.
+  void parseTopLevel();
+  void parseStructDef();
+  void parseFunctionRest(TypePtr RetTy, std::string Name, SourceLoc Loc);
+  void parseGlobalRest(TypePtr Ty, std::string Name, uint32_t NameId,
+                       SourceLoc Loc);
+
+  // Statements.
+  Stmt *parseStmt();
+  BlockStmt *parseBlock();
+  Stmt *parseDeclStmt();
+  Stmt *parseIf();
+  Stmt *parseWhile();
+  Stmt *parseFor();
+  Stmt *parseReturn();
+  Stmt *parseExprOrAssign();
+
+  // Expressions (precedence climbing).
+  Expr *parseExpr();
+  Expr *parseLOr();
+  Expr *parseLAnd();
+  Expr *parseEquality();
+  Expr *parseRelational();
+  Expr *parseAdditive();
+  Expr *parseMultiplicative();
+  Expr *parseUnary();
+  Expr *parsePostfix();
+  Expr *parsePrimary();
+
+  /// Requires \p E to be an l-value read and returns the l-value; reports an
+  /// error and returns null otherwise.
+  LValue *requireLValue(Expr *E, const char *Context);
+  /// Makes a placeholder int expression after an error.
+  Expr *makeErrorExpr(SourceLoc Loc);
+
+  /// Hard cap on expression/statement nesting. Recursive descent uses the
+  /// native stack, so an adversarial `((((...` tower would otherwise
+  /// overflow it; past the cap the parser diagnoses once, resynchronizes,
+  /// and keeps going.
+  static constexpr unsigned MaxNestingDepth = 200;
+  /// True when nesting is within bounds; otherwise reports the (one)
+  /// too-deep diagnostic, skips to a statement boundary, and returns false.
+  bool checkDepth();
+
+  std::vector<Token> Tokens;
+  size_t Pos = 0;
+  /// Per token: its interned name id, or NoName for non-identifiers.
+  std::vector<uint32_t> Names;
+  /// Per name id: its keyword classification.
+  std::vector<Kw> Keywords;
+  /// The loaded qualifier names, sorted and deduplicated; name id I < size
+  /// is QualNames[I].
+  std::vector<std::string> QualNames;
+  DiagnosticEngine &Diags;
+  std::unique_ptr<Program> Prog;
+
+  struct Binding {
+    VarDecl *Var = nullptr;
+    /// Scope depth of the declaration.
+    uint32_t Depth = 0;
+  };
+  struct Shadowed {
+    uint32_t Name;
+    Binding Old;
+  };
+  std::vector<Binding> Bindings;
+  std::vector<Shadowed> Undo;
+  /// Undo.size() at each open scope.
+  std::vector<size_t> ScopeMarks;
+
+  // The parse's type cache: each distinct struct, pointer and qualified
+  // type is built once. Cached nodes keep their keys alive.
+  struct QualKeyHash {
+    size_t operator()(const std::pair<const Type *, uint32_t> &K) const {
+      return std::hash<const Type *>()(K.first) * 31 + K.second;
+    }
+  };
+  std::unordered_map<uint32_t, TypePtr> StructTypes;
+  std::unordered_map<const Type *, TypePtr> PointerTypes;
+  std::unordered_map<std::pair<const Type *, uint32_t>, TypePtr, QualKeyHash>
+      QualifiedTypes;
+
+  unsigned Depth = 0;
+  bool DepthErrorReported = false;
+  /// Diagnostics cap for pathological input; the last slot reports the
+  /// suppression itself.
+  static constexpr unsigned MaxParseErrors = 64;
+  unsigned ErrorCount = 0;
+};
+
+} // namespace
+
+static std::vector<Token> lexProgram(const std::string &Source,
+                                     DiagnosticEngine &Diags) {
+  trace::Span LexSpan("lex");
+  return Lexer(Source, Diags).tokenize();
+}
+
+static std::unique_ptr<Program>
+parseTokens(std::vector<Token> Tokens,
+            const std::vector<std::string> &QualifierNames,
+            DiagnosticEngine &Diags) {
+  trace::Span ParseSpan("parse");
+  return Parser(std::move(Tokens), QualifierNames, Diags).run();
+}
 
 std::unique_ptr<Program> stq::cminus::parseProgram(
     const std::string &Source,
     const std::vector<std::string> &QualifierNames, DiagnosticEngine &Diags) {
-  Lexer Lex(Source, Diags);
-  std::vector<Token> Tokens;
-  {
-    trace::Span LexSpan("lex");
-    Tokens = Lex.tokenize();
-  }
-  trace::Span ParseSpan("parse");
-  std::set<std::string> QualSet(QualifierNames.begin(), QualifierNames.end());
-  Parser P(std::move(Tokens), std::move(QualSet), Diags);
-  return P.run();
+  return parseTokens(lexProgram(Source, Diags), QualifierNames, Diags);
+}
+
+Parser::Parser(std::vector<Token> Toks,
+               const std::vector<std::string> &QualifierNames,
+               DiagnosticEngine &Diags)
+    : Tokens(std::move(Toks)), QualNames(QualifierNames), Diags(Diags),
+      Prog(std::make_unique<Program>()) {
+  std::sort(QualNames.begin(), QualNames.end());
+  QualNames.erase(std::unique(QualNames.begin(), QualNames.end()),
+                  QualNames.end());
+  // Intern every identifier once. The table lives only for this loop;
+  // its keys view QualNames and Tokens.
+  std::unordered_map<std::string_view, uint32_t> Ids;
+  auto intern = [&](std::string_view S) {
+    auto [It, Inserted] = Ids.emplace(S, static_cast<uint32_t>(Ids.size()));
+    if (Inserted)
+      Keywords.push_back(keywordOf(S));
+    return It->second;
+  };
+  for (const std::string &Q : QualNames)
+    intern(Q);
+  Names.reserve(Tokens.size());
+  for (const Token &T : Tokens)
+    Names.push_back(T.is(TokenKind::Identifier) ? intern(T.Text) : NoName);
+  Bindings.resize(Ids.size());
 }
 
 //===----------------------------------------------------------------------===//
 // Token plumbing
 //===----------------------------------------------------------------------===//
-
-const Token &Parser::peek(unsigned Ahead) const {
-  size_t Index = Pos + Ahead;
-  if (Index >= Tokens.size())
-    Index = Tokens.size() - 1; // EndOfFile sentinel.
-  return Tokens[Index];
-}
 
 const Token &Parser::advance() {
   const Token &T = Tokens[Pos];
@@ -53,8 +270,8 @@ bool Parser::match(TokenKind K) {
   return true;
 }
 
-bool Parser::matchIdent(const char *S) {
-  if (!checkIdent(S))
+bool Parser::matchKw(Kw K) {
+  if (!checkKw(K))
     return false;
   advance();
   return true;
@@ -118,74 +335,77 @@ bool Parser::checkDepth() {
 // Scopes
 //===----------------------------------------------------------------------===//
 
-void Parser::pushScope() { Scopes.emplace_back(); }
+void Parser::pushScope() { ScopeMarks.push_back(Undo.size()); }
 
 void Parser::popScope() {
-  assert(!Scopes.empty() && "popScope without matching push");
-  Scopes.pop_back();
+  assert(!ScopeMarks.empty() && "popScope without matching push");
+  for (size_t Mark = ScopeMarks.back(); Undo.size() > Mark; Undo.pop_back())
+    Bindings[Undo.back().Name] = Undo.back().Old;
+  ScopeMarks.pop_back();
 }
 
-VarDecl *Parser::lookupVar(const std::string &Name) const {
-  for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-    auto Found = It->find(Name);
-    if (Found != It->end())
-      return Found->second;
-  }
-  return nullptr;
-}
-
-void Parser::declareVar(VarDecl *Var) {
-  assert(!Scopes.empty() && "declaration outside any scope");
-  auto [It, Inserted] = Scopes.back().emplace(Var->Name, Var);
-  if (!Inserted)
+void Parser::declareVar(VarDecl *Var, uint32_t Name) {
+  assert(!ScopeMarks.empty() && "declaration outside any scope");
+  Binding &B = Bindings[Name];
+  uint32_t Here = static_cast<uint32_t>(ScopeMarks.size());
+  if (B.Var && B.Depth == Here) {
     Diags.error(Var->Loc, "parse",
                 "redeclaration of '" + Var->Name + "' in the same scope");
-  (void)It;
+    return;
+  }
+  Undo.push_back({Name, B});
+  B = {Var, Here};
 }
 
 //===----------------------------------------------------------------------===//
 // Types
 //===----------------------------------------------------------------------===//
 
-bool Parser::atTypeStart() const {
-  return checkIdent("void") || checkIdent("int") || checkIdent("char") ||
-         checkIdent("struct");
+bool Parser::atTypeStart(unsigned Ahead) const {
+  Kw K = keywordAt(Ahead);
+  return K == Kw::Void || K == Kw::Int || K == Kw::Char || K == Kw::Struct;
 }
 
-std::vector<std::string> Parser::parseQuals() {
-  std::vector<std::string> Quals;
-  while (check(TokenKind::Identifier) &&
-         QualifierNames.count(peek().Text) != 0)
-    Quals.push_back(advance().Text);
-  return Quals;
+TypePtr Parser::parseQuals(TypePtr Base) {
+  while (qualAt()) {
+    uint32_t Q = nameAt();
+    advance();
+    TypePtr &Slot = QualifiedTypes[{Base.get(), Q}];
+    if (!Slot)
+      Slot = Type::withQual(Base, QualNames[Q]);
+    Base = Slot;
+  }
+  return Base;
 }
 
 TypePtr Parser::parseType() {
   TypePtr Base;
-  if (matchIdent("void")) {
+  if (matchKw(Kw::Void)) {
     Base = Type::getVoid();
-  } else if (matchIdent("int")) {
+  } else if (matchKw(Kw::Int)) {
     Base = Type::getInt();
-  } else if (matchIdent("char")) {
+  } else if (matchKw(Kw::Char)) {
     Base = Type::getChar();
-  } else if (matchIdent("struct")) {
+  } else if (matchKw(Kw::Struct)) {
     if (!check(TokenKind::Identifier)) {
       error("expected struct name");
       return nullptr;
     }
-    Base = Type::getStruct(advance().Text);
+    TypePtr &Slot = StructTypes[nameAt()];
+    if (!Slot)
+      Slot = Type::getStruct(peek().Text);
+    advance();
+    Base = Slot;
   } else {
     error("expected type");
     return nullptr;
   }
-  std::vector<std::string> Quals = parseQuals();
-  if (!Quals.empty())
-    Base = Type::withQuals(Base, std::move(Quals));
+  Base = parseQuals(std::move(Base));
   while (match(TokenKind::Star)) {
-    Base = Type::getPointer(Base);
-    Quals = parseQuals();
-    if (!Quals.empty())
-      Base = Type::withQuals(Base, std::move(Quals));
+    TypePtr &Slot = PointerTypes[Base.get()];
+    if (!Slot)
+      Slot = Type::getPointer(Base);
+    Base = parseQuals(Slot);
   }
   return Base;
 }
@@ -210,7 +430,7 @@ std::unique_ptr<Program> Parser::run() {
 
 void Parser::parseTopLevel() {
   // Struct definition: 'struct' IDENT '{'.
-  if (checkIdent("struct") && peek(1).is(TokenKind::Identifier) &&
+  if (checkKw(Kw::Struct) && peek(1).is(TokenKind::Identifier) &&
       peek(2).is(TokenKind::LBrace)) {
     parseStructDef();
     return;
@@ -232,17 +452,17 @@ void Parser::parseTopLevel() {
     synchronize();
     return;
   }
+  uint32_t NameId = nameAt();
   std::string Name = advance().Text;
   if (check(TokenKind::LParen))
-    parseFunctionRest(Ty, Name, Loc);
+    parseFunctionRest(std::move(Ty), std::move(Name), Loc);
   else
-    parseGlobalRest(Ty, Name, Loc);
+    parseGlobalRest(std::move(Ty), std::move(Name), NameId, Loc);
 }
 
 void Parser::parseStructDef() {
   SourceLoc Loc = advance().Loc; // 'struct'
-  std::string Name = advance().Text;
-  StructDef *Def = Prog->Ctx.createStruct(Name, Loc);
+  StructDef *Def = Prog->Ctx.createStruct(advance().Text, Loc);
   expect(TokenKind::LBrace, "after struct name");
   while (!check(TokenKind::RBrace) && !check(TokenKind::EndOfFile)) {
     TypePtr FieldTy = parseType();
@@ -258,20 +478,20 @@ void Parser::parseStructDef() {
     std::string FieldName = advance().Text;
     if (Def->findField(FieldName))
       error("duplicate field '" + FieldName + "'");
-    Def->Fields.push_back({FieldName, FieldTy});
+    Def->Fields.push_back({std::move(FieldName), std::move(FieldTy)});
     expect(TokenKind::Semi, "after struct field");
   }
   expect(TokenKind::RBrace, "to close struct definition");
   expect(TokenKind::Semi, "after struct definition");
-  Prog->Structs.push_back(Def);
+  Prog->addStruct(Def);
 }
 
-void Parser::parseFunctionRest(TypePtr RetTy, const std::string &Name,
+void Parser::parseFunctionRest(TypePtr RetTy, std::string Name,
                                SourceLoc Loc) {
-  FuncDecl *Fn = Prog->Ctx.createFunc(Name, RetTy, Loc);
+  FuncDecl *Fn = Prog->Ctx.createFunc(std::move(Name), std::move(RetTy), Loc);
   expect(TokenKind::LParen, "after function name");
   pushScope(); // Parameter scope.
-  if (checkIdent("void") && peek(1).is(TokenKind::RParen)) {
+  if (checkKw(Kw::Void) && peek(1).is(TokenKind::RParen)) {
     advance(); // `f(void)`: explicit empty parameter list.
   } else if (!check(TokenKind::RParen)) {
     while (true) {
@@ -283,14 +503,16 @@ void Parser::parseFunctionRest(TypePtr RetTy, const std::string &Name,
       if (!ParamTy)
         break;
       std::string ParamName;
+      uint32_t ParamId = nameAt();
       SourceLoc ParamLoc = peek().Loc;
-      if (check(TokenKind::Identifier) &&
-          QualifierNames.count(peek().Text) == 0)
+      if (check(TokenKind::Identifier) && !qualAt())
         ParamName = advance().Text;
-      VarDecl *Param = Prog->Ctx.createVar(ParamName, ParamTy, ParamLoc);
+      VarDecl *Param =
+          Prog->Ctx.createVar(std::move(ParamName), std::move(ParamTy),
+                              ParamLoc);
       Param->IsParam = true;
-      if (!ParamName.empty())
-        declareVar(Param);
+      if (!Param->Name.empty())
+        declareVar(Param, ParamId);
       Fn->Params.push_back(Param);
       if (!match(TokenKind::Comma))
         break;
@@ -299,19 +521,18 @@ void Parser::parseFunctionRest(TypePtr RetTy, const std::string &Name,
   expect(TokenKind::RParen, "to close parameter list");
 
   // Merge with a previous prototype if one exists.
-  if (FuncDecl *Prev = Prog->findFunction(Name)) {
+  if (FuncDecl *Prev = Prog->findFunction(Fn->Name)) {
     if (Prev->isDefinition() && check(TokenKind::LBrace))
-      Diags.error(Loc, "parse", "redefinition of function '" + Name + "'");
+      Diags.error(Loc, "parse",
+                  "redefinition of function '" + Fn->Name + "'");
   } else {
-    Prog->Functions.push_back(Fn);
+    Prog->addFunction(Fn);
   }
 
   if (check(TokenKind::LBrace)) {
     // If a prototype exists, replace its entry so calls resolve to the
     // definition.
-    for (auto &Entry : Prog->Functions)
-      if (Entry->Name == Name)
-        Entry = Fn;
+    Prog->defineFunction(Fn);
     Fn->Body = parseBlock();
   } else {
     expect(TokenKind::Semi, "after function prototype");
@@ -319,11 +540,11 @@ void Parser::parseFunctionRest(TypePtr RetTy, const std::string &Name,
   popScope();
 }
 
-void Parser::parseGlobalRest(TypePtr Ty, const std::string &Name,
+void Parser::parseGlobalRest(TypePtr Ty, std::string Name, uint32_t NameId,
                              SourceLoc Loc) {
-  VarDecl *Var = Prog->Ctx.createVar(Name, Ty, Loc);
+  VarDecl *Var = Prog->Ctx.createVar(std::move(Name), std::move(Ty), Loc);
   Var->IsGlobal = true;
-  declareVar(Var);
+  declareVar(Var, NameId);
   Prog->Globals.push_back(Var);
   if (match(TokenKind::Eq))
     Var->Init = parseExpr();
@@ -356,25 +577,28 @@ Stmt *Parser::parseStmt() {
     return parseBlock();
   if (atTypeStart())
     return parseDeclStmt();
-  if (checkIdent("if"))
+  switch (keywordAt()) {
+  case Kw::If:
     return parseIf();
-  if (checkIdent("while"))
+  case Kw::While:
     return parseWhile();
-  if (checkIdent("for"))
+  case Kw::For:
     return parseFor();
-  if (checkIdent("return"))
+  case Kw::Return:
     return parseReturn();
-  if (checkIdent("break")) {
+  case Kw::Break: {
     SourceLoc Loc = advance().Loc;
     expect(TokenKind::Semi, "after 'break'");
     return Prog->Ctx.createStmt<BreakStmt>(Loc);
   }
-  if (checkIdent("continue")) {
+  case Kw::Continue: {
     SourceLoc Loc = advance().Loc;
     expect(TokenKind::Semi, "after 'continue'");
     return Prog->Ctx.createStmt<ContinueStmt>(Loc);
   }
-  return parseExprOrAssign();
+  default:
+    return parseExprOrAssign();
+  }
 }
 
 Stmt *Parser::parseDeclStmt() {
@@ -389,11 +613,11 @@ Stmt *Parser::parseDeclStmt() {
     synchronize();
     return nullptr;
   }
-  std::string Name = advance().Text;
-  VarDecl *Var = Prog->Ctx.createVar(Name, Ty, Loc);
+  uint32_t NameId = nameAt();
+  VarDecl *Var = Prog->Ctx.createVar(advance().Text, std::move(Ty), Loc);
   if (match(TokenKind::Eq))
     Var->Init = parseExpr();
-  declareVar(Var);
+  declareVar(Var, NameId);
   expect(TokenKind::Semi, "after declaration");
   return Prog->Ctx.createStmt<DeclStmt>(Var, Loc);
 }
@@ -405,7 +629,7 @@ Stmt *Parser::parseIf() {
   expect(TokenKind::RParen, "to close if condition");
   Stmt *Then = parseStmt();
   Stmt *Else = nullptr;
-  if (matchIdent("else"))
+  if (matchKw(Kw::Else))
     Else = parseStmt();
   return Prog->Ctx.createStmt<IfStmt>(Cond, Then, Else, Loc);
 }
@@ -622,9 +846,7 @@ Expr *Parser::parseUnary() {
     return Prog->Ctx.createExpr<AddrOfExpr>(LV, Loc);
   }
   // Cast: '(' type ')' unary.
-  if (check(TokenKind::LParen) && peek(1).is(TokenKind::Identifier) &&
-      (peek(1).isIdent("void") || peek(1).isIdent("int") ||
-       peek(1).isIdent("char") || peek(1).isIdent("struct"))) {
+  if (check(TokenKind::LParen) && atTypeStart(1)) {
     advance(); // '('
     TypePtr Target = parseType();
     expect(TokenKind::RParen, "to close cast");
@@ -660,7 +882,7 @@ Expr *Parser::parsePostfix() {
       LValue *LV = requireLValue(E, "before '.'");
       if (!LV)
         return makeErrorExpr(Loc);
-      LV->Fields.push_back(Field);
+      LV->Fields.push_back(std::move(Field));
       // Reuse the same read expression; its type is recomputed by Sema.
       continue;
     }
@@ -669,9 +891,8 @@ Expr *Parser::parsePostfix() {
         error("expected field name after '->'");
         return E;
       }
-      std::string Field = advance().Text;
       LValue *LV = Prog->Ctx.createLValue(E, Loc);
-      LV->Fields.push_back(Field);
+      LV->Fields.push_back(advance().Text);
       E = Prog->Ctx.createExpr<LValReadExpr>(LV, Loc);
       continue;
     }
@@ -694,11 +915,11 @@ Expr *Parser::parsePrimary() {
     std::string S = advance().Text;
     return Prog->Ctx.createExpr<StrConstExpr>(std::move(S), Loc);
   }
-  if (checkIdent("NULL")) {
+  if (checkKw(Kw::Null)) {
     advance();
     return Prog->Ctx.createExpr<NullConstExpr>(Loc);
   }
-  if (checkIdent("sizeof")) {
+  if (checkKw(Kw::Sizeof)) {
     advance();
     expect(TokenKind::LParen, "after 'sizeof'");
     TypePtr Target = parseType();
@@ -708,7 +929,8 @@ Expr *Parser::parsePrimary() {
     return Prog->Ctx.createExpr<SizeofTypeExpr>(Target, Loc);
   }
   if (check(TokenKind::Identifier)) {
-    std::string Name = advance().Text;
+    uint32_t NameId = nameAt();
+    const std::string &Name = advance().Text;
     if (check(TokenKind::LParen)) {
       advance();
       std::vector<Expr *> Args;
@@ -720,7 +942,7 @@ Expr *Parser::parsePrimary() {
       expect(TokenKind::RParen, "to close call");
       return Prog->Ctx.createExpr<CallExpr>(Name, std::move(Args), Loc);
     }
-    VarDecl *Var = lookupVar(Name);
+    VarDecl *Var = lookupVar(NameId);
     if (!Var) {
       error("use of undeclared identifier '" + Name + "'");
       return makeErrorExpr(Loc);
@@ -745,9 +967,14 @@ bool stq::cminus::runFrontEnd(const std::string &Source,
                               DiagnosticEngine &Diags,
                               std::unique_ptr<Program> &ProgOut,
                               stats::Registry *Metrics) {
+  std::vector<Token> Tokens;
+  {
+    stats::ScopedTimer Timer(Metrics, "phase.lex_seconds");
+    Tokens = lexProgram(Source, Diags);
+  }
   {
     stats::ScopedTimer Timer(Metrics, "phase.parse_seconds");
-    ProgOut = parseProgram(Source, QualNames, Diags);
+    ProgOut = parseTokens(std::move(Tokens), QualNames, Diags);
   }
   if (!ProgOut || Diags.hasErrors())
     return false;

@@ -5,24 +5,23 @@
 #include "support/Trace.h"
 
 #include <cassert>
+#include <unordered_map>
 
 using namespace stq;
 using namespace stq::cminus;
 
 bool stq::cminus::isBaseAssignable(const TypePtr &Src, const TypePtr &Dst) {
-  TypePtr S = Type::deepUnqualified(Src);
-  TypePtr D = Type::deepUnqualified(Dst);
-  if (Type::equals(S, D))
+  if (Type::equalsIgnoringQuals(Src, Dst))
     return true;
   // char and int interconvert.
-  if (S->isArithmetic() && D->isArithmetic())
+  if (Src->isArithmetic() && Dst->isArithmetic())
     return true;
   // void* converts to and from any pointer (C rules; malloc idiom).
-  if (S->isPointer() && D->isPointer()) {
-    if (S->pointee()->isVoid() || D->pointee()->isVoid())
+  if (Src->isPointer() && Dst->isPointer()) {
+    if (Src->pointee()->isVoid() || Dst->pointee()->isVoid())
       return true;
     // char* and void* aside, pointees must agree exactly.
-    return Type::equals(S->pointee(), D->pointee());
+    return Type::equalsIgnoringQuals(Src->pointee(), Dst->pointee());
   }
   return false;
 }
@@ -33,7 +32,9 @@ class Sema {
 public:
   Sema(Program &Prog, const std::vector<std::string> &RefQualNames,
        DiagnosticEngine &Diags)
-      : Prog(Prog), RefQuals(RefQualNames), Diags(Diags) {}
+      : Prog(Prog), RefQuals(RefQualNames), Diags(Diags),
+        CharPtr(Type::getPointer(Type::getChar())),
+        VoidPtr(Type::getPointer(Type::getVoid())) {}
 
   bool run();
 
@@ -54,15 +55,26 @@ private:
   TypePtr typeOfLValue(LValue *LV);
   TypePtr typeOfCall(CallExpr *Call);
 
-  /// Strips reference qualifiers from the top level of \p T (r-type rule).
+  /// Strips reference qualifiers from the top level of \p T (r-type rule),
+  /// deciding once per qualified type.
   TypePtr stripRefQuals(const TypePtr &T) {
-    return Type::withoutQualsIn(T, RefQuals);
+    if (T->quals().empty())
+      return T;
+    auto [It, Inserted] = Stripped.try_emplace(T.get());
+    if (Inserted)
+      It->second = {T, Type::withoutQualsIn(T, RefQuals)};
+    return It->second.second;
   }
 
   Program &Prog;
   const std::vector<std::string> &RefQuals;
   DiagnosticEngine &Diags;
   FuncDecl *CurrentFn = nullptr;
+  /// The r-types of string literals and NULL, shared by every occurrence.
+  TypePtr CharPtr, VoidPtr;
+  /// Qualified type -> (itself, kept alive so its address stays its own;
+  /// its r-type).
+  std::unordered_map<const Type *, std::pair<TypePtr, TypePtr>> Stripped;
 };
 
 } // namespace
@@ -80,11 +92,11 @@ bool Sema::run() {
 
 void Sema::checkFunction(FuncDecl *Fn) {
   CurrentFn = Fn;
-  if (Type::withoutQuals(Fn->RetTy)->isStruct())
+  if (Fn->RetTy->isStruct())
     error(Fn->Loc, "functions cannot return struct values; return a "
                    "pointer instead");
   for (const VarDecl *P : Fn->Params)
-    if (Type::withoutQuals(P->DeclaredTy)->isStruct())
+    if (P->DeclaredTy->isStruct())
       error(P->Loc, "struct parameters are not supported; pass a pointer");
   checkStmt(Fn->Body);
   CurrentFn = nullptr;
@@ -178,7 +190,7 @@ void Sema::checkAssignable(const TypePtr &DstTy, Expr *RHS, SourceLoc Loc,
   // Whole-struct copies are outside the C-minus subset (CIL would expand
   // them field by field); structs are manipulated through fields and
   // pointers.
-  if (Type::withoutQuals(DstTy)->isStruct()) {
+  if (DstTy->isStruct()) {
     error(Loc, std::string("struct values cannot be copied in ") + What +
                    "; assign the fields individually");
     return;
@@ -205,15 +217,14 @@ TypePtr Sema::typeOfLValue(LValue *LV) {
     }
   }
   for (const std::string &Field : LV->Fields) {
-    TypePtr Bare = Type::withoutQuals(Cur);
-    if (!Bare->isStruct()) {
+    if (!Cur->isStruct()) {
       error(LV->Loc, "member access on non-struct type '" + Cur->str() + "'");
       Cur = Type::getInt();
       break;
     }
-    StructDef *Def = Prog.findStruct(Bare->structName());
+    StructDef *Def = Prog.findStruct(Cur->structName());
     if (!Def) {
-      error(LV->Loc, "unknown struct '" + Bare->structName() + "'");
+      error(LV->Loc, "unknown struct '" + Cur->structName() + "'");
       Cur = Type::getInt();
       break;
     }
@@ -241,7 +252,7 @@ TypePtr Sema::typeOfCall(CallExpr *Call) {
         typeOf(Arg);
       if (Call->Args.size() != 1)
         error(Call->Loc, "malloc takes exactly one argument");
-      return Type::getPointer(Type::getVoid());
+      return VoidPtr;
     }
     if (Call->CalleeName == "free") {
       for (Expr *Arg : Call->Args)
@@ -294,10 +305,10 @@ TypePtr Sema::typeOf(Expr *E) {
     Result = Type::getInt();
     break;
   case Expr::Kind::StrConst:
-    Result = Type::getPointer(Type::getChar());
+    Result = CharPtr;
     break;
   case Expr::Kind::NullConst:
-    Result = Type::getPointer(Type::getVoid());
+    Result = VoidPtr;
     break;
   case Expr::Kind::LValRead: {
     auto *Read = cast<LValReadExpr>(E);
@@ -386,12 +397,11 @@ TypePtr Sema::typeOf(Expr *E) {
   case Expr::Kind::Cast: {
     auto *Cast_ = cast<CastExpr>(E);
     TypePtr SubTy = typeOf(Cast_->Sub);
-    TypePtr S = Type::deepUnqualified(SubTy);
-    TypePtr D = Type::deepUnqualified(Cast_->Target);
-    bool Ok = (S->isArithmetic() || S->isPointer()) &&
+    const TypePtr &D = Cast_->Target;
+    bool Ok = (SubTy->isArithmetic() || SubTy->isPointer()) &&
               (D->isArithmetic() || D->isPointer());
     // Identity and qualifier-only casts are always fine.
-    if (!Ok && !Type::equals(S, D))
+    if (!Ok && !Type::equalsIgnoringQuals(SubTy, D))
       error(E->Loc, "invalid cast from '" + SubTy->str() + "' to '" +
                         Cast_->Target->str() + "'");
     Result = Cast_->Target;

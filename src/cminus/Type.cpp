@@ -53,17 +53,9 @@ static void normalizeQuals(std::vector<std::string> &Quals) {
   Quals.erase(std::unique(Quals.begin(), Quals.end()), Quals.end());
 }
 
-static TypePtr cloneShallow(const TypePtr &T) {
-  auto *N = new Type(*T);
-  return TypePtr(N);
-}
-
-// cloneShallow needs access to the copy constructor; grant it via a helper
-// in the class's translation unit. The copy constructor is implicitly
-// available because all members are copyable and the class is a friend of
-// itself.
-
 TypePtr Type::withQual(const TypePtr &T, const std::string &Qual) {
+  if (T->hasQual(Qual))
+    return T;
   std::vector<std::string> Quals = T->Quals;
   Quals.push_back(Qual);
   return withQuals(T, std::move(Quals));
@@ -73,22 +65,29 @@ TypePtr Type::withQuals(const TypePtr &T, std::vector<std::string> Quals) {
   normalizeQuals(Quals);
   if (Quals == T->Quals)
     return T;
-  TypePtr N = cloneShallow(T);
-  const_cast<Type *>(N.get())->Quals = std::move(Quals);
-  return N;
+  const TypePtr &Base = T->Quals.empty() ? T : T->Unqualified;
+  if (Quals.empty())
+    return Base;
+  auto *N = new Type(*Base);
+  N->Quals = std::move(Quals);
+  N->Unqualified = Base;
+  return TypePtr(N);
 }
 
 TypePtr Type::withoutQuals(const TypePtr &T) {
-  if (T->Quals.empty())
-    return T;
-  return withQuals(T, {});
+  return T->Quals.empty() ? T : T->Unqualified;
 }
 
 TypePtr Type::withoutQualsIn(const TypePtr &T,
                              const std::vector<std::string> &Drop) {
+  auto Dropped = [&](const std::string &Q) {
+    return std::find(Drop.begin(), Drop.end(), Q) != Drop.end();
+  };
+  if (std::none_of(T->Quals.begin(), T->Quals.end(), Dropped))
+    return T;
   std::vector<std::string> Kept;
   for (const std::string &Q : T->Quals)
-    if (std::find(Drop.begin(), Drop.end(), Q) == Drop.end())
+    if (!Dropped(Q))
       Kept.push_back(Q);
   return withQuals(T, std::move(Kept));
 }
@@ -98,8 +97,8 @@ TypePtr Type::deepUnqualified(const TypePtr &T) {
   switch (T->getKind()) {
   case Kind::Pointer: {
     TypePtr Pointee = deepUnqualified(T->pointee());
-    if (Pointee.get() == T->pointee().get() && Stripped.get() == T.get())
-      return T;
+    if (Pointee.get() == T->pointee().get())
+      return Stripped;
     return getPointer(std::move(Pointee));
   }
   case Kind::Function: {
@@ -136,6 +135,34 @@ bool Type::equals(const TypePtr &A, const TypePtr &B) {
       return false;
     for (size_t I = 0; I < A->Params.size(); ++I)
       if (!equals(A->Params[I], B->Params[I]))
+        return false;
+    return true;
+  }
+  }
+  return false;
+}
+
+bool Type::equalsIgnoringQuals(const TypePtr &A, const TypePtr &B) {
+  if (A.get() == B.get())
+    return true;
+  if (A->K != B->K)
+    return false;
+  switch (A->K) {
+  case Kind::Void:
+  case Kind::Int:
+  case Kind::Char:
+    return true;
+  case Kind::Pointer:
+    return equalsIgnoringQuals(A->Pointee, B->Pointee);
+  case Kind::Struct:
+    return A->StructName == B->StructName;
+  case Kind::Function: {
+    if (A->Variadic != B->Variadic || A->Params.size() != B->Params.size())
+      return false;
+    if (!equalsIgnoringQuals(A->Ret, B->Ret))
+      return false;
+    for (size_t I = 0; I < A->Params.size(); ++I)
+      if (!equalsIgnoringQuals(A->Params[I], B->Params[I]))
         return false;
     return true;
   }

@@ -13,6 +13,15 @@
 /// pointer to int. Qualifier order is irrelevant (rule SubQualReorder), so
 /// the set is kept sorted and deduplicated.
 ///
+/// Types are immutable and shared. The primitives are process-wide
+/// singletons. A qualified node remembers the unqualified node it was
+/// built from, so dropping every top-level qualifier, or dropping names
+/// the node does not carry, returns an existing node instead of a copy.
+/// The parser builds each distinct qualified or pointer type once per
+/// parse and hands the same node to every declaration that spells it;
+/// code that needs a variant asks a factory for it and never edits a
+/// node in place.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STQ_CMINUS_TYPE_H
@@ -71,10 +80,12 @@ public:
   /// Returns this type with the given top-level qualifier set (replacing the
   /// existing one).
   static TypePtr withQuals(const TypePtr &T, std::vector<std::string> Quals);
-  /// Returns this type with an empty top-level qualifier set.
+  /// Returns this type with an empty top-level qualifier set: \p T itself
+  /// when it has none, else the node it was qualified from.
   static TypePtr withoutQuals(const TypePtr &T);
   /// Returns this type with every qualifier in \p Drop removed from the
-  /// top-level set (used to strip reference qualifiers from r-types).
+  /// top-level set (used to strip reference qualifiers from r-types);
+  /// \p T itself when it carries none of them.
   static TypePtr withoutQualsIn(const TypePtr &T,
                                 const std::vector<std::string> &Drop);
   /// Returns this type with every qualifier removed at every level; the
@@ -84,6 +95,9 @@ public:
 
   /// Structural equality including qualifier sets at every level.
   static bool equals(const TypePtr &A, const TypePtr &B);
+  /// Structural equality ignoring qualifiers at every level: equals() on
+  /// the deepUnqualified() forms, without building them.
+  static bool equalsIgnoringQuals(const TypePtr &A, const TypePtr &B);
   /// Structural equality ignoring top-level qualifiers only; nested
   /// qualifier sets must still match (no subtyping under pointers).
   static bool equalsIgnoringTopQuals(const TypePtr &A, const TypePtr &B);
@@ -103,6 +117,8 @@ private:
 
   Kind K;
   std::vector<std::string> Quals;
+  /// The same node with no top-level qualifiers; null when Quals is empty.
+  TypePtr Unqualified;
   TypePtr Pointee;
   std::string StructName;
   TypePtr Ret;

@@ -80,8 +80,8 @@ struct TUnit {
 /// remapDiagnostics() over them before rendering. Thread-safe against
 /// other compileUnit() calls on distinct \p Diags engines. When
 /// \p Metrics is non-null, each stage the TU reaches records one sample
-/// into phase.pp_seconds, phase.parse_seconds, phase.sema_seconds, and
-/// phase.lower_seconds (lower + verify).
+/// into phase.pp_seconds, phase.lex_seconds, phase.parse_seconds,
+/// phase.sema_seconds, and phase.lower_seconds (lower + verify).
 TUnit compileUnit(const std::string &Name, const std::string &Text,
                   const CompileOptions &Opts, DiagnosticEngine &Diags,
                   stats::Registry *Metrics = nullptr);

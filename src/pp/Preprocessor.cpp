@@ -3,13 +3,15 @@
 #include "pp/Preprocessor.h"
 
 #include <algorithm>
+#include <bitset>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 using namespace stq;
 using namespace stq::pp;
@@ -115,16 +117,18 @@ std::string stripComments(const std::string &In) {
 // Pp tokens
 //===----------------------------------------------------------------------===//
 
-/// One preprocessing token: the raw spelling plus the hide set that
-/// implements the C99 no-reexpansion rule (a macro name already expanded
-/// on this token's derivation path never expands again).
-struct PTok {
-  std::string Text;
-  std::vector<std::string> Hide;
+/// Names a hide set in the preprocessor's per-run table; 0 is the empty
+/// set.
+using HideSet = uint32_t;
 
-  bool hidden(const std::string &Name) const {
-    return std::find(Hide.begin(), Hide.end(), Name) != Hide.end();
-  }
+/// One preprocessing token: its spelling plus the hide set that
+/// implements the C99 no-reexpansion rule (a macro already expanded on
+/// this token's derivation path never expands again). The spelling views
+/// the text of the file being processed, a macro body, or a literal; each
+/// outlives the line being expanded.
+struct PTok {
+  std::string_view Text;
+  HideSet Hide = 0;
 };
 
 bool isIdentStart(char C) {
@@ -133,24 +137,47 @@ bool isIdentStart(char C) {
 bool isIdentChar(char C) {
   return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
 }
-bool isIdentToken(const std::string &T) {
+bool isSpace(char C) { return std::isspace(static_cast<unsigned char>(C)); }
+bool isIdentToken(std::string_view T) {
   return !T.empty() && isIdentStart(T[0]);
 }
 
-/// Splits one logical line into preprocessing tokens (spellings only;
-/// whitespace dropped). Strings/chars are single tokens; punctuation is
-/// matched greedily so `->`, `==`, `...` survive re-rendering.
-std::vector<PTok> scanTokens(const std::string &Line) {
-  std::vector<PTok> Out;
+/// The end of the pp-number starting at \p I: digits, letters,
+/// underscores, dots (covers hex).
+size_t ppNumberEnd(std::string_view Line, size_t I) {
+  size_t J = I + 1;
+  while (J < Line.size() && (isIdentChar(Line[J]) || Line[J] == '.'))
+    ++J;
+  return J;
+}
+
+/// The end of the string or char literal whose quote is at \p I (past the
+/// closing quote, or the end of an unterminated line).
+size_t literalEnd(std::string_view Line, size_t I) {
+  const size_t N = Line.size();
+  size_t J = I + 1;
+  while (J < N && Line[J] != Line[I]) {
+    if (Line[J] == '\\' && J + 1 < N)
+      ++J;
+    ++J;
+  }
+  return std::min(J + 1, N);
+}
+
+/// Appends the preprocessing tokens of one logical line to \p Out
+/// (spellings only; whitespace dropped). Strings/chars are single tokens;
+/// punctuation is matched greedily so `->`, `==`, `...` survive
+/// re-rendering.
+void scanTokens(std::string_view Line, std::vector<PTok> &Out) {
   size_t I = 0;
   const size_t N = Line.size();
-  auto take = [&](size_t Len) {
-    Out.push_back({Line.substr(I, Len), {}});
-    I += Len;
+  auto take = [&](size_t End) {
+    Out.push_back({Line.substr(I, End - I)});
+    I = End;
   };
   while (I < N) {
     char C = Line[I];
-    if (std::isspace(static_cast<unsigned char>(C))) {
+    if (isSpace(C)) {
       ++I;
       continue;
     }
@@ -158,25 +185,15 @@ std::vector<PTok> scanTokens(const std::string &Line) {
       size_t J = I + 1;
       while (J < N && isIdentChar(Line[J]))
         ++J;
-      take(J - I);
+      take(J);
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(C))) {
-      // A pp-number: digits, letters, underscores, dots (covers hex).
-      size_t J = I + 1;
-      while (J < N && (isIdentChar(Line[J]) || Line[J] == '.'))
-        ++J;
-      take(J - I);
+      take(ppNumberEnd(Line, I));
       continue;
     }
     if (C == '"' || C == '\'') {
-      size_t J = I + 1;
-      while (J < N && Line[J] != C) {
-        if (Line[J] == '\\' && J + 1 < N)
-          ++J;
-        ++J;
-      }
-      take(std::min(J + 1, N) - I);
+      take(literalEnd(Line, I));
       continue;
     }
     // Punctuation, longest match first.
@@ -186,7 +203,7 @@ std::vector<PTok> scanTokens(const std::string &Line) {
     bool Matched = false;
     for (const char *P : Three)
       if (Line.compare(I, 3, P) == 0) {
-        take(3);
+        take(I + 3);
         Matched = true;
         break;
       }
@@ -194,25 +211,24 @@ std::vector<PTok> scanTokens(const std::string &Line) {
       continue;
     for (const char *P : Two)
       if (Line.compare(I, 2, P) == 0) {
-        take(2);
+        take(I + 2);
         Matched = true;
         break;
       }
     if (Matched)
       continue;
-    take(1);
+    take(I + 1);
   }
-  return Out;
 }
 
-std::string renderTokens(const std::vector<PTok> &Toks) {
-  std::string Out;
+/// Renders \p Toks into \p Out, one space between tokens.
+void renderTokens(const std::vector<PTok> &Toks, std::string &Out) {
+  Out.clear();
   for (const PTok &T : Toks) {
     if (!Out.empty())
       Out += ' ';
     Out += T.Text;
   }
-  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -221,9 +237,22 @@ std::string renderTokens(const std::vector<PTok> &Toks) {
 
 struct Macro {
   std::string Name;
+  /// This definition's element in hide sets.
+  uint32_t Id = 0;
   bool FunctionLike = false;
   std::vector<std::string> Params;
-  std::vector<PTok> Body;
+  /// Body token spellings; expansions view them.
+  std::vector<std::string> Body;
+  /// Per body token: the index of the parameter it names, or -1.
+  std::vector<int> BodyParam;
+};
+
+/// Heterogeneous hashing, so the macro table answers string_view probes.
+struct NameHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view S) const {
+    return std::hash<std::string_view>()(S);
+  }
 };
 
 //===----------------------------------------------------------------------===//
@@ -270,6 +299,9 @@ public:
   }
 
   PpResult run(const std::string &MainName, const std::string &MainText) {
+    Result.Text.reserve(MainText.size() + MainText.size() / 4);
+    Result.Map.Lines.reserve(
+        std::count(MainText.begin(), MainText.end(), '\n') + 1);
     for (const std::string &D : Opts.Defines)
       predefine(D);
     processFile(MainName, MainText);
@@ -346,14 +378,36 @@ private:
     return static_cast<uint32_t>(Result.Map.Stacks.size() - 1);
   }
 
-  void emitLine(const std::string &Text, const std::string &File,
-                unsigned PhysLine, const std::string &Macro) {
+  /// One file being processed: its comment-stripped text with line
+  /// splices removed in place, and its logical lines as views of it.
+  struct SourceFile {
+    SourceFile(const std::string &Name, std::string Text)
+        : Name(Name), Text(std::move(Text)) {}
+
+    const std::string &Name;
+    std::string Text;
+    std::vector<std::string_view> Lines;
+    /// Each logical line's first physical line.
+    std::vector<unsigned> PhysLines;
+    /// LineMap ids, assigned when the file emits its first line.
+    uint32_t FileId = NoId;
+    uint32_t StackId = NoId;
+  };
+  static constexpr uint32_t NoId = UINT32_MAX;
+
+  void emitLine(SourceFile &F, std::string_view Text, unsigned PhysLine,
+                const std::string &Macro) {
     Result.Text += Text;
     Result.Text += '\n';
+    if (F.FileId == NoId) {
+      // The include stack is fixed while one file is processed.
+      F.FileId = fileId(F.Name);
+      F.StackId = stackId();
+    }
     LineInfo Info;
-    Info.FileId = fileId(File);
+    Info.FileId = F.FileId;
     Info.PhysLine = PhysLine;
-    Info.StackId = stackId();
+    Info.StackId = F.StackId;
     Info.Macro = Macro;
     Result.Map.Lines.push_back(std::move(Info));
     ++Result.Stats.LinesOut;
@@ -363,9 +417,25 @@ private:
   // Macro table
   //===--------------------------------------------------------------------===//
 
-  const Macro *findMacro(const std::string &Name) const {
+  const Macro *findMacro(std::string_view Name) const {
+    if (Name.empty() || !MacroStarts[static_cast<unsigned char>(Name[0])])
+      return nullptr;
     auto It = Macros.find(Name);
     return It == Macros.end() ? nullptr : &It->second;
+  }
+
+  /// Enters \p M into the table, replacing a definition of its name.
+  void define(Macro M) {
+    M.Id = NextMacroId++;
+    for (const std::string &B : M.Body) {
+      auto P = std::find(M.Params.begin(), M.Params.end(), B);
+      M.BodyParam.push_back(P == M.Params.end()
+                                ? -1
+                                : static_cast<int>(P - M.Params.begin()));
+    }
+    MacroStarts.set(static_cast<unsigned char>(M.Name[0]));
+    ++Result.Stats.MacrosDefined;
+    Macros[M.Name] = std::move(M);
   }
 
   void predefine(const std::string &Spec) {
@@ -373,13 +443,80 @@ private:
     Macro M;
     M.Name = Eq == std::string::npos ? Spec : Spec.substr(0, Eq);
     std::string Value = Eq == std::string::npos ? "1" : Spec.substr(Eq + 1);
-    M.Body = scanTokens(Value);
+    std::vector<PTok> Body;
+    scanTokens(Value, Body);
+    for (const PTok &T : Body)
+      M.Body.emplace_back(T.Text);
     if (M.Name.empty() || !isIdentToken(M.Name)) {
       error("<command line>", 0, "bad -D macro name '" + M.Name + "'");
       return;
     }
-    ++Result.Stats.MacrosDefined;
-    Macros[M.Name] = std::move(M);
+    define(std::move(M));
+  }
+
+  /// True when expanding \p Line would rewrite it: it holds an object-like
+  /// macro name, or a function-like one followed by '(' or last on the
+  /// line. Walks scanTokens' token boundaries without building tokens;
+  /// punctuation is stepped one byte at a time, which finds the same
+  /// boundaries because no punctuator contains a byte that starts an
+  /// identifier, number, literal or space.
+  bool needsExpansion(std::string_view Line) const {
+    const size_t N = Line.size();
+    size_t I = 0;
+    while (I < N) {
+      char C = Line[I];
+      if (isIdentStart(C)) {
+        size_t J = I + 1;
+        while (J < N && isIdentChar(Line[J]))
+          ++J;
+        if (const Macro *M = findMacro(Line.substr(I, J - I))) {
+          if (!M->FunctionLike)
+            return true;
+          size_t K = J;
+          while (K < N && isSpace(Line[K]))
+            ++K;
+          if (K == N || Line[K] == '(')
+            return true;
+        }
+        I = J;
+      } else if (std::isdigit(static_cast<unsigned char>(C))) {
+        I = ppNumberEnd(Line, I);
+      } else if (C == '"' || C == '\'') {
+        I = literalEnd(Line, I);
+      } else {
+        ++I;
+      }
+    }
+    return false;
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Hide sets
+  //===--------------------------------------------------------------------===//
+
+  /// Whether \p S holds the macro \p MacroId.
+  bool hides(HideSet S, uint32_t MacroId) const {
+    for (; S != 0; S = HideNodes[S].Rest)
+      if (HideNodes[S].Macro == MacroId)
+        return true;
+    return false;
+  }
+
+  /// \p S plus \p MacroId; each distinct set is built once per run.
+  HideSet hideWith(HideSet S, uint32_t MacroId) {
+    if (hides(S, MacroId))
+      return S;
+    auto [It, Inserted] = HideLinks.try_emplace(
+        uint64_t(S) << 32 | MacroId, static_cast<HideSet>(HideNodes.size()));
+    if (Inserted)
+      HideNodes.push_back({S, MacroId});
+    return It->second;
+  }
+
+  HideSet hideUnion(HideSet A, HideSet B) {
+    for (; B != 0; B = HideNodes[B].Rest)
+      A = hideWith(A, HideNodes[B].Macro);
+    return A;
   }
 
   //===--------------------------------------------------------------------===//
@@ -387,26 +524,27 @@ private:
   //===--------------------------------------------------------------------===//
 
   /// Splits \p Text into logical lines (backslash-newline spliced),
-  /// remembering each logical line's first physical line number.
-  static void splitLogicalLines(const std::string &Text,
-                                std::vector<std::string> &Lines,
+  /// remembering each logical line's first physical line number. Splices
+  /// are removed in place, so each line is a view of \p Text.
+  static void splitLogicalLines(std::string &Text,
+                                std::vector<std::string_view> &Lines,
                                 std::vector<unsigned> &PhysLines,
                                 uint64_t &PhysCount) {
-    std::string Cur;
+    size_t W = 0, Begin = 0; // Write cursor; start of the open line.
     unsigned Phys = 1, Start = 1;
     bool Open = false;
     auto flush = [&]() {
-      Lines.push_back(Cur);
+      Lines.emplace_back(Text.data() + Begin, W - Begin);
       PhysLines.push_back(Start);
-      Cur.clear();
+      Begin = W;
       Open = false;
     };
     for (size_t I = 0; I < Text.size(); ++I) {
       char C = Text[I];
       if (C == '\n') {
         ++PhysCount;
-        if (!Cur.empty() && Cur.back() == '\\') {
-          Cur.pop_back();
+        if (W > Begin && Text[W - 1] == '\\') {
+          --W;
           Open = true;
           ++Phys;
           continue;
@@ -416,12 +554,12 @@ private:
         Start = Phys;
         continue;
       }
-      if (!Open && Cur.empty())
+      if (!Open && W == Begin)
         Start = Phys;
       Open = true;
-      Cur += C;
+      Text[W++] = C;
     }
-    if (Open || !Cur.empty()) {
+    if (Open || W > Begin) {
       ++PhysCount;
       flush();
     }
@@ -431,30 +569,25 @@ private:
     ++Result.Stats.Files;
     ClosureNames.push_back(Name);
     ActiveFiles.push_back(Name);
-    std::string Text = stripComments(RawText);
-    std::vector<std::string> Lines;
-    std::vector<unsigned> PhysLines;
-    splitLogicalLines(Text, Lines, PhysLines, Result.Stats.LinesIn);
+    SourceFile F(Name, stripComments(RawText));
+    splitLogicalLines(F.Text, F.Lines, F.PhysLines, Result.Stats.LinesIn);
 
     std::vector<Cond> Conds;
-    size_t CondBase = 0; // Conds is per-file by construction.
-    (void)CondBase;
-
-    for (size_t Idx = 0; Idx < Lines.size(); ++Idx) {
-      const std::string &Line = Lines[Idx];
-      unsigned Phys = PhysLines[Idx];
+    for (size_t Idx = 0; Idx < F.Lines.size(); ++Idx) {
+      std::string_view Line = F.Lines[Idx];
+      unsigned Phys = F.PhysLines[Idx];
       size_t NonWs = Line.find_first_not_of(" \t");
       bool Active = true;
       for (const Cond &C : Conds)
         Active = Active && C.ParentActive && C.ThisActive;
 
-      if (NonWs != std::string::npos && Line[NonWs] == '#') {
+      if (NonWs != std::string_view::npos && Line[NonWs] == '#') {
         handleDirective(Name, Line.substr(NonWs + 1), Phys, Conds, Active);
         continue;
       }
       if (!Active)
         continue;
-      processTextLine(Name, Line, Phys, Lines, Idx);
+      processTextLine(F, Idx);
     }
 
     for (const Cond &C : Conds)
@@ -465,75 +598,70 @@ private:
   /// Emits one in-conditional source line, expanding macros when any are
   /// invoked on it. Function-like invocations may consume following lines
   /// (arguments spanning lines); \p Idx advances past them.
-  void processTextLine(const std::string &File, const std::string &Line,
-                       unsigned Phys, const std::vector<std::string> &Lines,
-                       size_t &Idx) {
-    std::vector<PTok> Toks = scanTokens(Line);
+  void processTextLine(SourceFile &F, size_t &Idx) {
+    std::string_view Line = F.Lines[Idx];
+    unsigned Phys = F.PhysLines[Idx];
     // Fast path: no expandable macro on the line — emit verbatim, keeping
     // the user's exact columns.
-    bool NeedsExpansion = false;
-    for (size_t I = 0; I < Toks.size(); ++I) {
-      if (!isIdentToken(Toks[I].Text))
-        continue;
-      const Macro *M = findMacro(Toks[I].Text);
-      if (!M)
-        continue;
-      if (!M->FunctionLike ||
-          (I + 1 < Toks.size() && Toks[I + 1].Text == "(") ||
-          I + 1 == Toks.size()) {
-        NeedsExpansion = true;
-        break;
-      }
-    }
-    if (!NeedsExpansion) {
-      emitLine(Line, File, Phys, "");
+    if (!needsExpansion(Line)) {
+      emitLine(F, Line, Phys, "");
       return;
     }
 
+    std::vector<PTok> Toks;
+    scanTokens(Line, Toks);
     unsigned Budget = Opts.MaxExpansionsPerLine;
     std::string FirstMacro;
-    RefillFn Refill = [&](std::vector<PTok> &More) {
-      // Pull the next logical line into the token buffer (a function-like
-      // invocation whose arguments span lines). Directives inside an
-      // invocation are not supported.
-      if (Idx + 1 >= Lines.size())
-        return false;
-      const std::string &Next = Lines[Idx + 1];
-      size_t NonWs = Next.find_first_not_of(" \t");
-      if (NonWs != std::string::npos && Next[NonWs] == '#')
-        return false;
-      ++Idx;
-      More = scanTokens(Next);
-      return true;
-    };
-    std::vector<PTok> Expanded =
-        expandTokens(std::move(Toks), File, Phys, Budget, &FirstMacro,
-                     &Refill);
-    emitLine(renderTokens(Expanded), File, Phys, FirstMacro);
+    Continuation More{F, Idx};
+    std::vector<PTok> Expanded = expandTokens(std::move(Toks), F.Name, Phys,
+                                              Budget, &FirstMacro, &More);
+    renderTokens(Expanded, LineBuf);
+    emitLine(F, LineBuf, Phys, FirstMacro);
   }
 
   //===--------------------------------------------------------------------===//
   // Macro expansion
   //===--------------------------------------------------------------------===//
 
-  using RefillFn = std::function<bool(std::vector<PTok> &)>;
+  /// Where a function-like invocation still open at the end of its line
+  /// takes more tokens from: the following logical lines of the file.
+  struct Continuation {
+    const SourceFile &F;
+    size_t &Idx;
+  };
+
+  /// Appends the next logical line's tokens to \p Toks (an invocation
+  /// whose arguments span lines). Directives inside an invocation are not
+  /// supported.
+  static bool refill(Continuation *More, std::vector<PTok> &Toks) {
+    if (!More || More->Idx + 1 >= More->F.Lines.size())
+      return false;
+    std::string_view Next = More->F.Lines[More->Idx + 1];
+    size_t NonWs = Next.find_first_not_of(" \t");
+    if (NonWs != std::string_view::npos && Next[NonWs] == '#')
+      return false;
+    ++More->Idx;
+    scanTokens(Next, Toks);
+    return true;
+  }
 
   /// Rewrites \p Toks until no expandable macro remains (hide sets
   /// guarantee termination; \p Budget caps pathological growth).
   std::vector<PTok> expandTokens(std::vector<PTok> Toks,
                                  const std::string &File, unsigned Phys,
                                  unsigned &Budget, std::string *FirstMacro,
-                                 const RefillFn *Refill) {
+                                 Continuation *More) {
     std::vector<PTok> Out;
+    Out.reserve(Toks.size());
     size_t I = 0;
     bool BudgetDiagnosed = false;
     while (I < Toks.size()) {
-      PTok &T = Toks[I];
-      const Macro *M =
-          isIdentToken(T.Text) && !T.hidden(T.Text) ? findMacro(T.Text)
-                                                    : nullptr;
+      PTok T = Toks[I]; // A copy: refilling may reallocate Toks.
+      const Macro *M = isIdentToken(T.Text) ? findMacro(T.Text) : nullptr;
+      if (M && hides(T.Hide, M->Id))
+        M = nullptr;
       if (!M) {
-        Out.push_back(std::move(T));
+        Out.push_back(T);
         ++I;
         continue;
       }
@@ -542,7 +670,7 @@ private:
           BudgetDiagnosed = true;
           error(File, Phys, "macro expansion limit exceeded on this line");
         }
-        Out.push_back(std::move(T));
+        Out.push_back(T);
         ++I;
         continue;
       }
@@ -552,45 +680,37 @@ private:
         ++Result.Stats.Expansions;
         if (FirstMacro && FirstMacro->empty())
           *FirstMacro = M->Name;
-        std::vector<PTok> Body = M->Body;
-        for (PTok &B : Body) {
-          B.Hide = T.Hide;
-          B.Hide.push_back(M->Name);
-        }
+        HideSet Hide = hideWith(T.Hide, M->Id);
         Toks.erase(Toks.begin() + static_cast<long>(I));
-        Toks.insert(Toks.begin() + static_cast<long>(I), Body.begin(),
-                    Body.end());
+        Toks.insert(Toks.begin() + static_cast<long>(I), M->Body.size(),
+                    PTok{});
+        for (size_t K = 0; K < M->Body.size(); ++K)
+          Toks[I + K] = {M->Body[K], Hide};
         continue; // Rescan from the spliced tokens.
       }
 
       // Function-like: require '(' (possibly on a following line).
-      if (I + 1 >= Toks.size() && Refill) {
-        std::vector<PTok> More;
-        if ((*Refill)(More))
-          Toks.insert(Toks.end(), More.begin(), More.end());
-      }
+      if (I + 1 >= Toks.size())
+        refill(More, Toks);
       if (I + 1 >= Toks.size() || Toks[I + 1].Text != "(") {
-        Out.push_back(std::move(T));
+        Out.push_back(T);
         ++I;
         continue;
       }
 
-      // Collect arguments, balancing parentheses.
-      std::vector<std::vector<PTok>> Args;
-      Args.emplace_back();
+      // Collect arguments as [begin, end) ranges of Toks, balancing
+      // parentheses. Refilling only appends, so the ranges stay valid.
+      std::vector<std::pair<size_t, size_t>> Args = {{I + 2, I + 2}};
       size_t J = I + 2;
       int Depth = 1;
       bool Closed = false;
       while (true) {
         if (J >= Toks.size()) {
-          std::vector<PTok> More;
-          if (Refill && (*Refill)(More)) {
-            Toks.insert(Toks.end(), More.begin(), More.end());
+          if (refill(More, Toks))
             continue;
-          }
           break;
         }
-        const std::string &S = Toks[J].Text;
+        std::string_view S = Toks[J].Text;
         if (S == "(")
           ++Depth;
         else if (S == ")") {
@@ -601,29 +721,30 @@ private:
             break;
           }
         } else if (S == "," && Depth == 1) {
-          Args.emplace_back();
           ++J;
+          Args.push_back({J, J});
           continue;
         }
-        Args.back().push_back(Toks[J]);
         ++J;
+        Args.back().second = J;
       }
       if (!Closed) {
         error(File, Phys,
               "unterminated invocation of macro '" + M->Name + "'");
-        Out.push_back(std::move(T));
+        Out.push_back(T);
         ++I;
         continue;
       }
       // `M()` with one empty argument means zero arguments.
-      if (Args.size() == 1 && Args[0].empty() && M->Params.empty())
+      if (Args.size() == 1 && Args[0].first == Args[0].second &&
+          M->Params.empty())
         Args.clear();
       if (Args.size() != M->Params.size()) {
         error(File, Phys,
               "macro '" + M->Name + "' expects " +
                   std::to_string(M->Params.size()) + " argument(s), got " +
                   std::to_string(Args.size()));
-        Out.push_back(std::move(T));
+        Out.push_back(T);
         ++I;
         continue;
       }
@@ -636,27 +757,23 @@ private:
       // Arguments are fully expanded before substitution (C99 6.10.3.1).
       std::vector<std::vector<PTok>> ExpArgs;
       ExpArgs.reserve(Args.size());
-      for (std::vector<PTok> &A : Args)
-        ExpArgs.push_back(
-            expandTokens(std::move(A), File, Phys, Budget, nullptr, nullptr));
+      for (auto [Begin, End] : Args)
+        ExpArgs.push_back(expandTokens(
+            std::vector<PTok>(Toks.begin() + static_cast<long>(Begin),
+                              Toks.begin() + static_cast<long>(End)),
+            File, Phys, Budget, nullptr, nullptr));
 
+      HideSet Hide = hideWith(T.Hide, M->Id);
       std::vector<PTok> Body;
-      for (const PTok &B : M->Body) {
-        auto P = std::find(M->Params.begin(), M->Params.end(), B.Text);
-        if (isIdentToken(B.Text) && P != M->Params.end()) {
-          const auto &Arg = ExpArgs[static_cast<size_t>(
-              P - M->Params.begin())];
-          for (PTok A : Arg) {
-            A.Hide.insert(A.Hide.end(), T.Hide.begin(), T.Hide.end());
-            A.Hide.push_back(M->Name);
-            Body.push_back(std::move(A));
-          }
+      for (size_t K = 0; K < M->Body.size(); ++K) {
+        if (M->BodyParam[K] < 0) {
+          Body.push_back({M->Body[K], Hide});
           continue;
         }
-        PTok Copy = B;
-        Copy.Hide = T.Hide;
-        Copy.Hide.push_back(M->Name);
-        Body.push_back(std::move(Copy));
+        for (PTok A : ExpArgs[static_cast<size_t>(M->BodyParam[K])]) {
+          A.Hide = hideWith(hideUnion(A.Hide, T.Hide), M->Id);
+          Body.push_back(A);
+        }
       }
       Toks.erase(Toks.begin() + static_cast<long>(I),
                  Toks.begin() + static_cast<long>(J));
@@ -671,13 +788,14 @@ private:
   // Directives
   //===--------------------------------------------------------------------===//
 
-  void handleDirective(const std::string &File, const std::string &Tail,
+  void handleDirective(const std::string &File, std::string_view Tail,
                        unsigned Phys, std::vector<Cond> &Conds,
                        bool Active) {
-    std::vector<PTok> Toks = scanTokens(Tail);
+    std::vector<PTok> Toks;
+    scanTokens(Tail, Toks);
     if (Toks.empty())
       return; // The null directive (`#`) is legal and ignored.
-    const std::string &Name = Toks[0].Text;
+    std::string_view Name = Toks[0].Text;
 
     // Conditional-flow directives act even in skipped regions.
     if (Name == "if" || Name == "ifdef" || Name == "ifndef") {
@@ -697,7 +815,8 @@ private:
                             std::vector<PTok>(Toks.begin() + 1, Toks.end()));
         } else {
           if (Toks.size() < 2 || !isIdentToken(Toks[1].Text))
-            error(File, Phys, "expected macro name after #" + Name);
+            error(File, Phys,
+                  "expected macro name after #" + std::string(Name));
           else
             V = findMacro(Toks[1].Text) != nullptr;
           if (Name == "ifndef")
@@ -765,23 +884,26 @@ private:
         error(File, Phys, "expected macro name after #undef");
         return;
       }
-      Macros.erase(Toks[1].Text);
+      if (auto It = Macros.find(Toks[1].Text); It != Macros.end())
+        Macros.erase(It);
       return;
     }
     if (Name == "error") {
-      std::string Msg = Tail.substr(Tail.find("error") + 5);
+      std::string_view Msg = Tail.substr(Tail.find("error") + 5);
       size_t S = Msg.find_first_not_of(" \t");
       error(File, Phys,
-            "#error" + (S == std::string::npos ? std::string()
-                                               : ": " + Msg.substr(S)));
+            "#error" + (S == std::string_view::npos
+                            ? std::string()
+                            : ": " + std::string(Msg.substr(S))));
       return;
     }
     if (Name == "pragma")
       return; // Accepted and ignored.
-    error(File, Phys, "unknown preprocessor directive '#" + Name + "'");
+    error(File, Phys,
+          "unknown preprocessor directive '#" + std::string(Name) + "'");
   }
 
-  void handleDefine(const std::string &File, const std::string &Tail,
+  void handleDefine(const std::string &File, std::string_view Tail,
                     unsigned Phys, const std::vector<PTok> &Toks) {
     if (Toks.size() < 2 || !isIdentToken(Toks[1].Text)) {
       error(File, Phys, "expected macro name after #define");
@@ -793,7 +915,7 @@ private:
     // Function-like iff '(' immediately follows the name (no whitespace):
     // find the name in the raw tail and inspect the next character.
     size_t NamePos = Tail.find(M.Name, Tail.find("define") + 6);
-    bool FnLike = NamePos != std::string::npos &&
+    bool FnLike = NamePos != std::string_view::npos &&
                   NamePos + M.Name.size() < Tail.size() &&
                   Tail[NamePos + M.Name.size()] == '(';
     if (FnLike) {
@@ -823,9 +945,9 @@ private:
           }
           if (std::find(M.Params.begin(), M.Params.end(), Toks[I].Text) !=
               M.Params.end())
-            error(File, Phys, "duplicate macro parameter '" + Toks[I].Text +
-                                  "'");
-          M.Params.push_back(Toks[I].Text);
+            error(File, Phys, "duplicate macro parameter '" +
+                                  std::string(Toks[I].Text) + "'");
+          M.Params.emplace_back(Toks[I].Text);
           ++I;
           if (I < Toks.size() && Toks[I].Text == ",") {
             ++I;
@@ -844,19 +966,17 @@ private:
     for (size_t I = BodyStart; I < Toks.size(); ++I) {
       if (Toks[I].Text == "#" || Toks[I].Text == "##")
         error(File, Phys,
-              "'" + Toks[I].Text +
+              "'" + std::string(Toks[I].Text) +
                   "' (stringize/paste) is not supported in macro bodies");
-      M.Body.push_back(Toks[I]);
+      M.Body.emplace_back(Toks[I].Text);
     }
-    auto It = Macros.find(M.Name);
-    if (It != Macros.end())
+    if (Macros.find(M.Name) != Macros.end())
       Diags.warning(SourceLoc(Phys, 1), "pp",
                     "macro '" + M.Name + "' redefined");
-    ++Result.Stats.MacrosDefined;
-    Macros[M.Name] = std::move(M);
+    define(std::move(M));
   }
 
-  void handleInclude(const std::string &File, const std::string &Tail,
+  void handleInclude(const std::string &File, std::string_view Tail,
                      unsigned Phys) {
     // Parse `"name"` or `<name>` from the raw tail (the token scanner
     // would split <a/b.h> at punctuation).
@@ -871,11 +991,11 @@ private:
     bool Angled = Tail[Pos] == '<';
     char Close = Angled ? '>' : '"';
     size_t End = Tail.find(Close, Pos + 1);
-    if (End == std::string::npos) {
+    if (End == std::string_view::npos) {
       error(File, Phys, "unterminated #include file name");
       return;
     }
-    std::string Name = Tail.substr(Pos + 1, End - Pos - 1);
+    std::string Name(Tail.substr(Pos + 1, End - Pos - 1));
     if (Name.empty()) {
       error(File, Phys, "empty #include file name");
       return;
@@ -944,7 +1064,7 @@ private:
         Replaced.push_back(std::move(Toks[I]));
         continue;
       }
-      std::string Target;
+      std::string_view Target;
       if (I + 1 < Toks.size() && isIdentToken(Toks[I + 1].Text)) {
         Target = Toks[I + 1].Text;
         I += 1;
@@ -979,9 +1099,8 @@ private:
     static constexpr unsigned MaxDepth = 200;
     unsigned Depth = 0;
 
-    const std::string &peek() {
-      static const std::string Empty;
-      return Pos < Toks.size() ? Toks[Pos].Text : Empty;
+    std::string_view peek() const {
+      return Pos < Toks.size() ? Toks[Pos].Text : std::string_view();
     }
     bool eat(const char *S) {
       if (peek() == S) {
@@ -1106,7 +1225,7 @@ private:
           err("expected ')' in #if expression");
         return V;
       }
-      const std::string &T = peek();
+      std::string_view T = peek();
       if (T.empty()) {
         err("unexpected end of #if expression");
         return 0;
@@ -1120,10 +1239,11 @@ private:
           --End;
         errno = 0;
         char *Stop = nullptr;
-        std::string Num = T.substr(0, End);
+        std::string Num(T.substr(0, End));
         long long V = std::strtoll(Num.c_str(), &Stop, 0);
         if (Stop != Num.c_str() + Num.size())
-          err("bad integer literal '" + T + "' in #if expression");
+          err("bad integer literal '" + std::string(T) +
+              "' in #if expression");
         return V;
       }
       if (T.size() >= 3 && T[0] == '\'')
@@ -1131,7 +1251,7 @@ private:
             T[1] == '\\' && T.size() >= 4 ? T[2] : T[1]);
       if (isIdentToken(T))
         return 0; // Undefined identifiers are 0 in #if.
-      err("unexpected token '" + T + "' in #if expression");
+      err("unexpected token '" + std::string(T) + "' in #if expression");
       return 0;
     }
   };
@@ -1140,7 +1260,22 @@ private:
   const PpOptions &Opts;
   DiagnosticEngine &Diags;
   PpResult Result;
-  std::map<std::string, Macro> Macros;
+  std::unordered_map<std::string, Macro, NameHash, std::equal_to<>> Macros;
+  /// First bytes of every name ever defined: most identifiers are
+  /// rejected before hashing.
+  std::bitset<256> MacroStarts;
+  uint32_t NextMacroId = 1;
+  /// Hide-set nodes: a set is its last-added macro plus the rest; node 0
+  /// is the empty set.
+  struct HideNode {
+    HideSet Rest;
+    uint32_t Macro;
+  };
+  std::vector<HideNode> HideNodes = {{0, 0}};
+  /// (set << 32 | macro) -> the set with that macro added.
+  std::unordered_map<uint64_t, HideSet> HideLinks;
+  /// The rendering of the last expanded line.
+  std::string LineBuf;
   /// Active include chain (frames: includer file + line).
   std::vector<IncludeFrame> Stack;
   /// Resolved paths currently being processed (cycle detection).

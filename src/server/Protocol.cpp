@@ -4,6 +4,7 @@
 
 #include "prover/ProverCache.h"
 #include "support/Json.h"
+#include "support/Socket.h"
 
 using namespace stq;
 using namespace stq::server;
@@ -348,6 +349,22 @@ bool stq::server::rpc::parseResponse(const std::string &Line, Response &Out,
   Out.TraceJson = Doc.getString("trace");
   Out.Error = Doc.getString("error");
   return true;
+}
+
+ExchangeStatus stq::server::rpc::exchange(UnixStream &Conn, const Request &Req,
+                                         Response &Resp, int TimeoutMs,
+                                         std::string &Error) {
+  std::string SendError;
+  bool Sent = Conn.writeAll(encodeRequest(Req) + "\n", SendError);
+  std::string Line;
+  bool Read = Conn.readLine(Line, /*MaxBytes=*/64u << 20, TimeoutMs, Error);
+  if (Read && parseResponse(Line, Resp, Error))
+    return ExchangeStatus::Ok;
+  if (!Sent) {
+    Error = SendError;
+    return ExchangeStatus::SendFailed;
+  }
+  return Read ? ExchangeStatus::BadResponse : ExchangeStatus::NoResponse;
 }
 
 std::string stq::server::rpc::versionText(const std::string &Tool) {

@@ -31,6 +31,10 @@
 
 #include <string>
 
+namespace stq {
+class UnixStream;
+}
+
 namespace stq::server::rpc {
 
 /// The protocol version tag every request and response carries.
@@ -67,6 +71,20 @@ struct Response {
 std::string encodeResponse(const Response &R);
 bool parseResponse(const std::string &Line, Response &Out,
                    std::string &Error);
+
+/// How one client round trip ended.
+enum class ExchangeStatus { Ok, SendFailed, NoResponse, BadResponse };
+
+/// One client round trip on a connected stream: sends \p Req as one line,
+/// then reads and parses one response line into \p Resp. The daemon
+/// answers a full queue with `busy` before reading the request and
+/// closes, so the send can fail while that answer already waits on the
+/// socket: a failed send still reads, and a response that parses wins.
+/// Otherwise \p Error holds the send error (SendFailed), the read error
+/// (NoResponse; empty for a clean close), or the parse error
+/// (BadResponse).
+ExchangeStatus exchange(UnixStream &Conn, const Request &Req, Response &Resp,
+                        int TimeoutMs, std::string &Error);
 
 /// The `--version` banner: the tool name plus every stable format version
 /// this build speaks (rpc, metrics, diagnostics, prover cache).

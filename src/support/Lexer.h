@@ -8,8 +8,15 @@
 /// \file
 /// A single tokenizer shared by the C-minus front end and the
 /// qualifier-definition language. Both languages draw from the same C-like
-/// token set; keyword recognition is left to the parsers so each language
-/// keeps its own keyword table.
+/// token set, so the lexer knows no keywords: every word is an Identifier
+/// token carrying its spelling. Each parser classifies words against its
+/// own static keyword table (the C-minus parser does it once per token,
+/// before parsing, together with interning names and marking qualifier
+/// names; see cminus/Parser.h).
+///
+/// tokenize() reserves the token vector from the buffer size and moves
+/// each token into it, so lexing allocates only for spellings that do not
+/// fit a short string.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -105,7 +112,7 @@ private:
 
   void lexToken(std::vector<Token> &Out);
   void lexNumber(std::vector<Token> &Out, SourceLoc Start, char First);
-  void lexIdentifier(std::vector<Token> &Out, SourceLoc Start, char First);
+  void lexIdentifier(std::vector<Token> &Out, SourceLoc Start);
   void lexString(std::vector<Token> &Out, SourceLoc Start);
   void lexChar(std::vector<Token> &Out, SourceLoc Start);
   /// Decodes one escape sequence after a backslash; returns the character.

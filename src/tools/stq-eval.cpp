@@ -216,22 +216,22 @@ bool evalViaServer(const eval::ProgramSpec &Spec, const CliOptions &O,
     HardExit = 6;
     return false;
   }
-  if (!Conn.writeAll(server::rpc::encodeRequest(Req) + "\n", Error)) {
+  server::rpc::Response Resp;
+  switch (server::rpc::exchange(Conn, Req, Resp, /*TimeoutMs=*/600000,
+                                Error)) {
+  case server::rpc::ExchangeStatus::Ok:
+    break;
+  case server::rpc::ExchangeStatus::SendFailed:
     std::fprintf(stderr, "stq-eval: cannot send request: %s\n",
                  Error.c_str());
     HardExit = 6;
     return false;
-  }
-  std::string Line;
-  if (!Conn.readLine(Line, /*MaxBytes=*/64u << 20, /*TimeoutMs=*/600000,
-                     Error)) {
+  case server::rpc::ExchangeStatus::NoResponse:
     std::fprintf(stderr, "stq-eval: no response from server%s%s\n",
                  Error.empty() ? "" : ": ", Error.c_str());
     HardExit = 6;
     return false;
-  }
-  server::rpc::Response Resp;
-  if (!server::rpc::parseResponse(Line, Resp, Error)) {
+  case server::rpc::ExchangeStatus::BadResponse:
     std::fprintf(stderr, "stq-eval: %s\n", Error.c_str());
     HardExit = 6;
     return false;

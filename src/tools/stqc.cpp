@@ -359,20 +359,20 @@ int runViaServer(const CliOptions &Options, server::rpc::Request Req) {
     std::fprintf(stderr, "stqc: cannot reach server: %s\n", Error.c_str());
     return 6;
   }
-  if (!Conn.writeAll(server::rpc::encodeRequest(Req) + "\n", Error)) {
+  server::rpc::Response Resp;
+  // Generous response budget: a cold `prove --jobs 1` can take a while.
+  switch (server::rpc::exchange(Conn, Req, Resp, /*TimeoutMs=*/600000,
+                                Error)) {
+  case server::rpc::ExchangeStatus::Ok:
+    break;
+  case server::rpc::ExchangeStatus::SendFailed:
     std::fprintf(stderr, "stqc: cannot send request: %s\n", Error.c_str());
     return 6;
-  }
-  std::string Line;
-  // Generous response budget: a cold `prove --jobs 1` can take a while.
-  if (!Conn.readLine(Line, /*MaxBytes=*/64u << 20, /*TimeoutMs=*/600000,
-                     Error)) {
+  case server::rpc::ExchangeStatus::NoResponse:
     std::fprintf(stderr, "stqc: no response from server%s%s\n",
                  Error.empty() ? "" : ": ", Error.c_str());
     return 6;
-  }
-  server::rpc::Response Resp;
-  if (!server::rpc::parseResponse(Line, Resp, Error)) {
+  case server::rpc::ExchangeStatus::BadResponse:
     std::fprintf(stderr, "stqc: %s\n", Error.c_str());
     return 6;
   }

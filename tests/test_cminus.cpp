@@ -129,6 +129,42 @@ TEST(Type, DeepUnqualifiedStripsEveryLevel) {
   EXPECT_TRUE(Type::equals(U, Type::getPointer(Type::getInt())));
 }
 
+TEST(Type, EqualsIgnoringQualsAgreesWithDeepUnqualifiedEquality) {
+  TypePtr Int = Type::getInt();
+  TypePtr PosInt = Type::withQual(Int, "pos");
+  TypePtr Fn = Type::getFunction(PosInt, {Type::getPointer(PosInt)}, false);
+  std::vector<TypePtr> Types = {
+      Int,
+      PosInt,
+      Type::getChar(),
+      Type::getPointer(Int),
+      Type::withQual(Type::getPointer(PosInt), "unique"),
+      Type::getPointer(Type::getPointer(Type::withQual(Int, "neg"))),
+      Type::getPointer(Type::getVoid()),
+      Type::getStruct("a"),
+      Type::withQual(Type::getStruct("a"), "nonnull"),
+      Type::getStruct("b"),
+      Fn,
+      Type::getFunction(Int, {Type::getPointer(Int)}, false),
+      Type::getFunction(Int, {Type::getPointer(Int)}, true),
+  };
+  for (const TypePtr &A : Types)
+    for (const TypePtr &B : Types)
+      EXPECT_EQ(Type::equalsIgnoringQuals(A, B),
+                Type::equals(Type::deepUnqualified(A),
+                             Type::deepUnqualified(B)))
+          << A->str() << " vs " << B->str();
+}
+
+TEST(Type, DroppingNothingReturnsTheSameNode) {
+  TypePtr PosInt = Type::withQual(Type::getInt(), "pos");
+  EXPECT_EQ(Type::withoutQuals(PosInt), Type::getInt());
+  EXPECT_EQ(Type::withoutQualsIn(PosInt, {"unique"}), PosInt);
+  EXPECT_EQ(Type::withQual(PosInt, "pos"), PosInt);
+  TypePtr Ptr = Type::getPointer(PosInt);
+  EXPECT_EQ(Type::withoutQuals(Type::withQual(Ptr, "unique")), Ptr);
+}
+
 TEST(Type, WithoutQualsInDropsOnlyListed) {
   TypePtr T = Type::withQuals(Type::getPointer(Type::getInt()),
                               {"unique", "nonnull"});
@@ -255,6 +291,90 @@ TEST(Parser, RedeclarationInSameScopeErrors) {
 TEST(Parser, ShadowingInInnerScopeAllowed) {
   auto R = parse("int f() { int x; { int x; x = 1; } return x; }\n");
   EXPECT_FALSE(R.Diags.hasErrors());
+}
+
+TEST(Parser, EachSpelledTypeIsOneNodePerParse) {
+  auto R = parse("struct s { int v; };\n"
+                 "int pos a;\n"
+                 "int pos b;\n"
+                 "struct s* nonnull p;\n"
+                 "int f(struct s* nonnull q, int pos c) { return c; }\n");
+  ASSERT_FALSE(R.Diags.hasErrors());
+  const auto &G = R.Prog->Globals;
+  ASSERT_EQ(G.size(), 3u);
+  EXPECT_EQ(G[0]->DeclaredTy.get(), G[1]->DeclaredTy.get());
+  const FuncDecl *F = R.Prog->findFunction("f");
+  EXPECT_EQ(F->Params[0]->DeclaredTy.get(), G[2]->DeclaredTy.get());
+  EXPECT_EQ(F->Params[1]->DeclaredTy.get(), G[0]->DeclaredTy.get());
+  EXPECT_EQ(F->RetTy.get(), Type::getInt().get());
+}
+
+TEST(Parser, SecondBodyIsARedefinition) {
+  auto R = parse("int f() { return 1; }\n"
+                 "int f() { return 2; }\n");
+  ASSERT_TRUE(R.Diags.hasErrors());
+  bool Saw = false;
+  for (const Diagnostic &D : R.Diags.diagnostics())
+    Saw = Saw || D.Message.find("redefinition of function 'f'") !=
+                     std::string::npos;
+  EXPECT_TRUE(Saw);
+  EXPECT_EQ(R.Prog->Functions.size(), 1u);
+}
+
+TEST(Parser, PrototypeAfterDefinitionKeepsTheDefinition) {
+  auto R = parse("int f(int x) { return x; }\n"
+                 "int f(int x);\n");
+  ASSERT_FALSE(R.Diags.hasErrors());
+  ASSERT_EQ(R.Prog->Functions.size(), 1u);
+  EXPECT_TRUE(R.Prog->Functions[0]->isDefinition());
+  EXPECT_EQ(R.Prog->findFunction("f"), R.Prog->Functions[0]);
+}
+
+TEST(Parser, CallBeforeDefinitionBindsToTheDefinition) {
+  DiagnosticEngine Diags;
+  auto Prog = parseProgram("int g(int x);\n"
+                           "int f() { return g(1); }\n"
+                           "int g(int x) { return x; }\n",
+                           Quals, Diags);
+  ASSERT_TRUE(runSema(*Prog, RefQuals, Diags));
+  FuncDecl *G = Prog->findFunction("g");
+  ASSERT_NE(G, nullptr);
+  ASSERT_TRUE(G->isDefinition());
+  auto *Ret = dyn_cast<ReturnStmt>(Prog->findFunction("f")->Body->Stmts[0]);
+  ASSERT_NE(Ret, nullptr);
+  auto *Call = dyn_cast<CallExpr>(Ret->Value);
+  ASSERT_NE(Call, nullptr);
+  EXPECT_EQ(Call->Callee, G);
+}
+
+TEST(Sema, FieldAccessResolvesThroughItsOwnStruct) {
+  // Both structs have a field `v`, with different types; each access
+  // must take the type from the struct its base names.
+  DiagnosticEngine Diags;
+  auto Prog = frontendOk("struct a { int v; };\n"
+                         "struct b { char* v; };\n"
+                         "struct a* pa;\n"
+                         "struct b* pb;\n"
+                         "int f() { int x = pa->v; char* y = pb->v; "
+                         "return x; }\n",
+                         Diags);
+  ASSERT_FALSE(Diags.hasErrors());
+  FuncDecl *F = Prog->findFunction("f");
+  auto *X = dyn_cast<DeclStmt>(F->Body->Stmts[0]);
+  auto *Y = dyn_cast<DeclStmt>(F->Body->Stmts[1]);
+  ASSERT_NE(X, nullptr);
+  ASSERT_NE(Y, nullptr);
+  EXPECT_TRUE(X->Var->Init->Ty->isInt());
+  EXPECT_TRUE(Y->Var->Init->Ty->isPointer());
+  // Through the wrong struct the same spelling is a type error.
+  DiagnosticEngine Bad;
+  auto Mixed = parseProgram("struct a { int v; };\n"
+                            "struct b { char* v; };\n"
+                            "struct b* pb;\n"
+                            "int f() { int x = pb->v; return x; }\n",
+                            Quals, Bad);
+  ASSERT_FALSE(Bad.hasErrors());
+  EXPECT_FALSE(runSema(*Mixed, RefQuals, Bad));
 }
 
 TEST(Parser, ExpressionStatementMustBeCall) {

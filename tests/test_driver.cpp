@@ -619,8 +619,9 @@ TEST(Session, CheckFilesFreesEveryUnitInItsTask) {
   // One sample per TU for every stage of its task, one per call for the
   // fan-out and the serial tail.
   for (const char *Stage :
-       {"phase.pp_seconds", "phase.parse_seconds", "phase.sema_seconds",
-        "phase.lower_seconds", "phase.qualcheck_seconds", "phase.free_seconds"})
+       {"phase.pp_seconds", "phase.lex_seconds", "phase.parse_seconds",
+        "phase.sema_seconds", "phase.lower_seconds",
+        "phase.qualcheck_seconds", "phase.free_seconds"})
     EXPECT_EQ(M.histogram(Stage).data().Count, 6u) << Stage;
   for (const char *Tail :
        {"phase.fanout_seconds", "phase.link_seconds", "phase.merge_seconds"})

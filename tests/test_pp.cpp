@@ -104,6 +104,74 @@ TEST(PpMacros, ExpansionsPerLineCapped) {
   EXPECT_GE(R.Result.Stats.Expansions, 1u);
 }
 
+/// Output line \p N (1-based) of \p R, without its newline.
+std::string outputLine(const PpRun &R, unsigned N) {
+  size_t Begin = 0;
+  for (unsigned I = 1; I < N; ++I)
+    Begin = R.Result.Text.find('\n', Begin) + 1;
+  return R.Result.Text.substr(Begin, R.Result.Text.find('\n', Begin) - Begin);
+}
+
+TEST(PpVerbatim, MacroNamesOutsideIdentifierTokensStayVerbatim) {
+  // N and F occur only inside a string literal (with an escaped quote),
+  // a char literal, pp-numbers and longer identifiers: no line expands,
+  // so each is emitted byte for byte with no macro in its provenance.
+  const std::vector<std::string> Lines = {
+      "char *s   =  \"N \\\" F(1)\";",
+      "int c  = 'N';",
+      "int d = 1N +  0xN + 2.N;",
+      "int NN =  Nx + xN + F_ + _F(1);",
+  };
+  std::string Src = "#define N 10\n#define F(x) x\n";
+  for (const std::string &L : Lines)
+    Src += L + "\n";
+  PpRun R = run(Src, {});
+  ASSERT_EQ(R.Result.Map.Lines.size(), Lines.size());
+  for (unsigned I = 0; I < Lines.size(); ++I) {
+    EXPECT_EQ(outputLine(R, I + 1), Lines[I]);
+    EXPECT_EQ(R.Result.Map.Lines[I].Macro, "") << Lines[I];
+  }
+  EXPECT_EQ(R.Result.Stats.Expansions, 0u);
+}
+
+TEST(PpVerbatim, FunctionLikeNameWithoutParenStaysVerbatim) {
+  PpRun R = run("#define F(x) ((x) + 1)\n"
+                "int   F  =  3 ;\n",
+                {});
+  ASSERT_TRUE(R.Result.Ok);
+  EXPECT_EQ(R.Result.Text, "int   F  =  3 ;\n");
+  ASSERT_EQ(R.Result.Map.Lines.size(), 1u);
+  EXPECT_EQ(R.Result.Map.Lines[0].Macro, "");
+}
+
+TEST(PpVerbatim, FunctionLikeNameLastOnLineTakesArgumentsFromNextLine) {
+  PpRun R = run("#define F(x) ((x) + 1)\n"
+                "int v = F\n"
+                "(2);\n"
+                "int w = 0;\n",
+                {});
+  ASSERT_TRUE(R.Result.Ok);
+  EXPECT_EQ(R.Result.Text, "int v = ( ( 2 ) + 1 ) ;\nint w = 0;\n");
+  ASSERT_EQ(R.Result.Map.Lines.size(), 2u);
+  EXPECT_EQ(R.Result.Map.Lines[0].Macro, "F");
+  EXPECT_EQ(R.Result.Map.Lines[0].PhysLine, 2u);
+  EXPECT_EQ(R.Result.Map.Lines[1].Macro, "");
+  EXPECT_EQ(R.Result.Map.Lines[1].PhysLine, 4u);
+}
+
+TEST(PpVerbatim, SameLineBeforeAndAfterUndef) {
+  PpRun R = run("#define N 10\n"
+                "int v  = N;\n"
+                "#undef N\n"
+                "int v  = N;\n",
+                {});
+  ASSERT_TRUE(R.Result.Ok);
+  EXPECT_EQ(R.Result.Text, "int v = 10 ;\nint v  = N;\n");
+  ASSERT_EQ(R.Result.Map.Lines.size(), 2u);
+  EXPECT_EQ(R.Result.Map.Lines[0].Macro, "N");
+  EXPECT_EQ(R.Result.Map.Lines[1].Macro, "");
+}
+
 //===----------------------------------------------------------------------===//
 // Includes
 //===----------------------------------------------------------------------===//

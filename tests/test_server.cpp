@@ -27,7 +27,9 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <sys/socket.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace stq;
@@ -300,6 +302,44 @@ TEST(Protocol, VersionTextNamesEveryFormat) {
 //===----------------------------------------------------------------------===//
 // RequestQueue
 //===----------------------------------------------------------------------===//
+
+TEST(Protocol, ExchangeReadsTheAnswerAfterAFailedSend) {
+  // The daemon's `busy` bounce: the answer is written and the connection
+  // closed before the client sends. The send fails (EPIPE), and the
+  // answer waiting on the socket must still be returned.
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  UnixStream Client(Fds[0]);
+  {
+    UnixStream Daemon(Fds[1]);
+    server::rpc::Response Busy;
+    Busy.Status = "busy";
+    Busy.ExitCode = 6;
+    std::string Error;
+    ASSERT_TRUE(Daemon.writeAll(server::rpc::encodeResponse(Busy) + "\n",
+                                Error))
+        << Error;
+  }
+  server::rpc::Request Req;
+  Req.Inv.Command = "check";
+  Req.Inv.Source = "int x = 1;\n";
+  Req.Inv.HasSource = true;
+  server::rpc::Response Resp;
+  std::string Error;
+  EXPECT_EQ(server::rpc::exchange(Client, Req, Resp, 5000, Error),
+            server::rpc::ExchangeStatus::Ok)
+      << Error;
+  EXPECT_EQ(Resp.Status, "busy");
+  EXPECT_EQ(Resp.ExitCode, 6);
+
+  // With no answer waiting, the send error is what the caller sees.
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  UnixStream Lone(Fds[0]);
+  ::close(Fds[1]);
+  EXPECT_EQ(server::rpc::exchange(Lone, Req, Resp, 5000, Error),
+            server::rpc::ExchangeStatus::SendFailed);
+  EXPECT_NE(Error, "");
+}
 
 TEST(RequestQueue, BoundedPushRejectsWhenFull) {
   server::RequestQueue Q(2);
@@ -601,15 +641,11 @@ bool roundTrip(const std::string &Socket, const server::rpc::Request &Req,
   UnixStream Conn;
   if (!Conn.connect(Socket, Error))
     return false;
-  if (!Conn.writeAll(server::rpc::encodeRequest(Req) + "\n", Error))
-    return false;
-  std::string Line;
-  if (!Conn.readLine(Line, 64u << 20, TimeoutMs, Error)) {
-    if (Error.empty())
-      Error = "connection closed before a response";
-    return false;
-  }
-  return server::rpc::parseResponse(Line, Resp, Error);
+  server::rpc::ExchangeStatus Status =
+      server::rpc::exchange(Conn, Req, Resp, TimeoutMs, Error);
+  if (Status == server::rpc::ExchangeStatus::NoResponse && Error.empty())
+    Error = "connection closed before a response";
+  return Status == server::rpc::ExchangeStatus::Ok;
 }
 
 TEST(ServerEndToEnd, CheckMatchesOneShotBytes) {
