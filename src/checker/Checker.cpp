@@ -100,12 +100,10 @@ bool QualChecker::hasQualifier(const Expr *E, const QualifierDef *Q) {
     return false;
 
   QueryKey Key(E->Id, Q);
-  if (Options.Memoize) {
-    auto Found = Memo.find(Key);
-    if (Found != Memo.end()) {
-      ++Result.Stats.MemoHits;
-      return Found->second;
-    }
+  auto Found = Memo.find(Key);
+  if (Found != Memo.end()) {
+    ++Result.Stats.MemoHits;
+    return Found->second;
   }
   if (InProgress.count(Key)) {
     // A derivation may not depend on itself (least fixpoint).
@@ -129,7 +127,7 @@ bool QualChecker::hasQualifier(const Expr *E, const QualifierDef *Q) {
   InProgress.erase(Key);
   // Results that consulted an in-progress query hold only in this
   // derivation context; do not cache them.
-  if (Options.Memoize && !TouchedInProgress)
+  if (!TouchedInProgress)
     Memo.emplace(Key, Derivable);
   TouchedInProgress = TouchedInProgress || SavedTouched;
   return Derivable;
@@ -493,8 +491,7 @@ void QualChecker::recordCast(const CastExpr *Cast) {
   RuntimeCastCheck Check;
   Check.Cast = Cast;
   for (const std::string &Name : ValueQuals) {
-    if (Options.ElideProvableCastChecks &&
-        hasQualifier(Cast->Sub, Quals.find(Name))) {
+    if (hasQualifier(Cast->Sub, Quals.find(Name))) {
       ++Result.Stats.ElidedCastChecks;
       continue;
     }

@@ -40,11 +40,6 @@
 namespace stq::checker {
 
 struct CheckerOptions {
-  /// Memoize hasQualifier queries (ablation knob; see DESIGN.md).
-  bool Memoize = true;
-  /// Skip run-time checks for casts whose qualifiers are statically
-  /// derivable from the operand.
-  bool ElideProvableCastChecks = true;
   /// Expressions (by Expr::Id) assumed to carry the given qualifiers, as
   /// if a cast had been inserted. Used by the annotation driver to model
   /// the paper's manually inserted casts without AST surgery.

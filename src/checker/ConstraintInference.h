@@ -112,8 +112,7 @@ struct InferenceSuggestion {
 
 struct InferenceStats {
   /// Wall-clock seconds inside the parallel graph solve alone (excludes
-  /// generation and suggestion minimization) — the quantity the solve
-  /// benchmark holds to its jobs-scaling acceptance criterion.
+  /// generation and suggestion minimization).
   double SolveSeconds = 0;
   unsigned Units = 0;       ///< Constraint-generation units.
   unsigned Atoms = 0;       ///< Seeded candidate atoms.

@@ -257,8 +257,7 @@ Hash128 hashEnv(const qual::QualifierSet &Quals, const CheckerOptions &Options,
       H.byte(TagNull);
   }
 
-  H.byte((Options.Memoize ? 4 : 0) | (Options.ElideProvableCastChecks ? 2 : 0) |
-         (Options.FlowSensitiveNarrowing ? 1 : 0));
+  H.byte(Options.FlowSensitiveNarrowing ? 1 : 0);
 
   H.u64(Prog.Structs.size());
   for (const cminus::StructDef *S : Prog.Structs) {

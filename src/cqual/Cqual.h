@@ -14,7 +14,7 @@
 /// through the constraint graph; an error is a path from a `tainted`
 /// source to an `untainted` sink.
 ///
-/// Contrasts with the paper's framework, exercised by the benchmarks:
+/// Contrasts with the paper's framework, exercised by tests/test_cqual.cpp:
 /// inference needs fewer annotations, but the lattice is *trusted* - there
 /// is no language for type rules and no automated soundness checking.
 ///

@@ -83,9 +83,8 @@ struct CampaignOptions {
   uint64_t Fuel = 200000;
   /// When non-empty, every run executes this one scenario instead of the
   /// weighted mix: "soundness", "mixed", "qualgen", "prover",
-  /// "edit-replay", "inference", "vm", "frontend", or "robustness" (the
-  /// CI incremental-smoke job pins "edit-replay", inference-smoke pins
-  /// "inference", frontend-smoke pins "frontend").
+  /// "edit-replay", "inference", "vm", "frontend", "header-edit", or
+  /// "robustness" (ctest's `fuzz.*` entries pin five of them).
   std::string OnlyScenario;
 };
 

@@ -1,4 +1,4 @@
-//===- ProverCache.h - Memoized prover query cache --------------*- C++ -*-===//
+//===- ProverCache.h - Prover query result cache ----------------*- C++ -*-===//
 //
 // Part of the stq project: a reproduction of "Semantic Type Qualifiers"
 // (Chin, Markstrum, Millstein; PLDI 2005).
@@ -83,8 +83,7 @@ struct CachedAnswer {
   bool FromDisk = false;
 };
 
-/// Counters for `stqc --metrics` and the scaling benchmark. Hits + Misses
-/// == Lookups.
+/// Counters for `stqc --metrics`. Hits + Misses == Lookups.
 struct CacheStats {
   uint64_t Lookups = 0;
   uint64_t Hits = 0;

@@ -11,7 +11,7 @@
 /// verbatim and the `stqd` worker ships them in the RPC response, so a
 /// request answered by the server is byte-identical to the same command
 /// run locally — the differential test in tests/test_server.cpp and the
-/// CI smoke job both enforce this.
+/// `server.smoke` ctest entry both enforce this.
 ///
 /// The server passes a SharedContext carrying its warm process-wide state
 /// (prover cache, default qualifier set, worker pool); the one-shot CLI

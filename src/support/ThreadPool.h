@@ -36,8 +36,7 @@ namespace stq {
 
 class ThreadPool {
 public:
-  /// Counters describing one pool's lifetime, for `stqc --metrics` and the
-  /// scaling benchmark.
+  /// Counters describing one pool's lifetime, for `stqc --metrics`.
   struct PoolStats {
     uint64_t Executed = 0; ///< Tasks run to completion.
     uint64_t Steals = 0;   ///< Tasks taken from another worker's deque.

@@ -16,9 +16,8 @@
 /// The disabled path is the default and must stay near-free: every entry
 /// point first checks one inline relaxed atomic load and does nothing else
 /// when tracing is off, so the instrumentation can remain compiled in on
-/// production builds (the checker-time benchmark bounds the overhead at
-/// 2%). Recording is thread-safe; spans nest per thread via a thread-local
-/// depth.
+/// production builds. Recording is thread-safe; spans nest per thread via
+/// a thread-local depth.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -952,45 +952,6 @@ std::vector<CorpusProgram> stq::workloads::makeAllCorpora() {
   return All;
 }
 
-GeneratedWorkload stq::workloads::makeChecksumKernel(unsigned Rounds,
-                                                     unsigned N) {
-  if (Rounds == 0)
-    Rounds = 1;
-  if (N == 0)
-    N = 1;
-  std::ostringstream OS;
-  // The first two casts cannot be discharged statically (i is a plain
-  // int), so both engines evaluate those invariants on every iteration;
-  // the last two are entailed by the operand's static qualifiers (pos
-  // implies nonzero, and step's own pos), so the elision pass removes
-  // them while the interpreter — and a VM run without elision — still
-  // pays for them. The divisions keep trap checks on the hot path too.
-  OS << "int work(int pos n) {\n"
-     << "  int acc = 0;\n"
-     << "  for (int i = 1; i <= n; i = i + 1) {\n"
-     << "    int pos step = (int pos) i;\n"
-     << "    int nonzero d = (int nonzero) (2 * i);\n"
-     << "    int nonzero e = (int nonzero) step;\n"
-     << "    int pos f = (int pos) step;\n"
-     << "    acc = acc + step * 3 - i / 2 + acc / d + e - f;\n"
-     << "  }\n"
-     << "  return acc;\n"
-     << "}\n"
-     << "int main() {\n"
-     << "  int total = 0;\n"
-     << "  for (int r = 0; r < " << Rounds << "; r = r + 1) {\n"
-     << "    total = total + work(" << N << ");\n"
-     << "  }\n"
-     << "  return total % 251;\n"
-     << "}\n";
-
-  GeneratedWorkload W;
-  W.Name = "checksum-kernel";
-  W.Source = OS.str();
-  W.Lines = countLines(W.Source);
-  return W;
-}
-
 GeneratedWorkload stq::workloads::makeInferenceFarm(unsigned Functions) {
   if (Functions == 0)
     Functions = 1;

@@ -43,8 +43,7 @@ struct GeneratedWorkload {
 };
 
 /// The dfa.c/dfa.h analogue for Table 1. \p Scale multiplies the function
-/// counts (Scale=1 approximates the paper's statistics); larger scales feed
-/// the checker-time benchmark.
+/// counts (Scale=1 approximates the paper's statistics).
 ///
 /// Since the §6 corpora landed under tests/corpus/c/, the single-TU
 /// transcriptions returned here are *oracles only*: the annotation
@@ -67,16 +66,8 @@ GeneratedWorkload makeBftpd();
 GeneratedWorkload makeMingetty();
 GeneratedWorkload makeIdentd();
 
-/// A compute-bound qualifier-instrumented kernel for run-phase execution
-/// benchmarks: \p Rounds outer rounds of an \p N-iteration accumulation
-/// loop whose body performs value-qualifier casts (pos/nonzero) that stay
-/// as residual runtime guards. The daemons above are setup-dominated when
-/// executed; this member makes the farm representative of the run phase
-/// (the grep inner-matcher shape) for engine comparisons.
-GeneratedWorkload makeChecksumKernel(unsigned Rounds = 200, unsigned N = 500);
-
-/// An unannotated many-function arithmetic program for the whole-program
-/// inference benchmark: \p Functions function bodies full of locals with
+/// An unannotated many-function arithmetic program for whole-program
+/// inference: \p Functions function bodies full of locals with
 /// inferable value qualifiers (pos/neg/nonzero-class), chained by calls so
 /// parameter constraints cross function (and solve-unit) boundaries.
 GeneratedWorkload makeInferenceFarm(unsigned Functions = 120);
@@ -138,7 +129,7 @@ bool farmUnitPlanted(const FarmSpec &Spec, unsigned U);
 /// definitions each (plus a main TU). \p Seed varies the constants and,
 /// when Seed % 3 == 0, plants one un-derivable qualifier initialization in
 /// unit Seed % Units so differential runs see diagnostics too. Scales to
-/// ~1M LOC (Units * FnsPerUnit * ~7 lines) for the front-end benchmark.
+/// ~1M LOC (Units * FnsPerUnit * ~7 lines).
 /// Assembled from makeFarmHeader/makeFarmUnit/makeFarmMain; callers that
 /// only stream TUs through checkFiles should use those directly.
 MultiTuProgram makeMultiTuFarm(unsigned Units, unsigned FnsPerUnit = 8,

@@ -1,7 +1,7 @@
 #!/bin/sh
 # eval_smoke.sh — end-to-end run of the paper-table replication harness
 # (stq-eval + the checked-in §6 corpus tree), driven with the real
-# binaries the way CI runs them.
+# binaries.
 #
 # Part of the stq project: a reproduction of "Semantic Type Qualifiers"
 # (Chin, Markstrum, Millstein; PLDI 2005).

@@ -493,14 +493,6 @@ TEST(CheckerCasts, ProvableCastCheckElided) {
   EXPECT_EQ(R->Result.Stats.ElidedCastChecks, 1u);
 }
 
-TEST(CheckerCasts, ElisionCanBeDisabled) {
-  CheckerOptions Options;
-  Options.ElideProvableCastChecks = false;
-  auto R = check({"pos", "neg"},
-                 "int f() { int pos x = (int pos) 5; return x; }\n", Options);
-  ASSERT_EQ(R->Result.RuntimeChecks.size(), 1u);
-}
-
 TEST(CheckerCasts, UnprovableCastCheckRecorded) {
   auto R = check({"pos", "neg"},
                  "int f(int y) { int pos x = (int pos) y; return x; }\n");
@@ -517,26 +509,6 @@ TEST(CheckerCasts, MultiQualCastChecksEachQualifier) {
                  "}\n");
   ASSERT_EQ(R->Result.RuntimeChecks.size(), 1u);
   EXPECT_EQ(R->Result.RuntimeChecks[0].Quals.size(), 2u);
-}
-
-//===----------------------------------------------------------------------===//
-// Memoization ablation
-//===----------------------------------------------------------------------===//
-
-TEST(CheckerMemo, MemoizationDoesNotChangeResults) {
-  const char *Source = "int f(int pos a, int pos b, int c) {\n"
-                       "  int pos x = a * b * a * b;\n"
-                       "  int pos y = a * (b * a) * b;\n"
-                       "  int pos bad = c * c;\n"
-                       "  return x + y + bad;\n"
-                       "}\n";
-  auto R1 = check({"pos", "neg"}, Source);
-  CheckerOptions NoMemo;
-  NoMemo.Memoize = false;
-  auto R2 = check({"pos", "neg"}, Source, NoMemo);
-  EXPECT_EQ(R1->Result.QualErrors, R2->Result.QualErrors);
-  EXPECT_EQ(R1->Result.QualErrors, 1u);
-  EXPECT_EQ(R2->Result.Stats.MemoHits, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -142,6 +142,14 @@ TEST(EvalCorpus, JobsCountDoesNotChangeTheRow) {
   }
 }
 
+TEST(EvalCorpus, EachCorpusChecksInUnderOneSecond) {
+  // Section 6: qualifier checking adds under one second of compile time
+  // on every experiment. The row times the whole check, front end
+  // included, so it bounds the checking share from above.
+  for (CorpusProgram &C : makeAllCorpora())
+    EXPECT_LT(evalCorpus(C).Seconds, 1.0) << C.Name;
+}
+
 //===----------------------------------------------------------------------===//
 // Spec construction and lib/ exclusion
 //===----------------------------------------------------------------------===//

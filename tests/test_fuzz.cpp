@@ -247,14 +247,34 @@ TEST(FuzzCampaign, SmallCampaignHoldsAllOracles) {
   EXPECT_EQ(Snap.Counters.at("fuzz.runs"), 25u);
 }
 
-TEST(FuzzCampaign, SameSeedReplaysByteIdentically) {
-  auto Run = [](std::string &LogOut) {
+/// One campaign to replay: the weighted mix or one pinned scenario. Its run
+/// count is the replay's own, a fraction of the `fuzz.*` ctest campaign's,
+/// and its seed is one no ctest campaign uses, so each case also adds
+/// oracle coverage.
+struct ReplayCase {
+  const char *Name;
+  const char *Scenario; ///< Empty for the weighted mix.
+  unsigned Runs;
+};
+
+/// Names each case in ctest (`.../SameSeedReplaysByteIdentically/vm`).
+void PrintTo(const ReplayCase &C, std::ostream *OS) { *OS << C.Name; }
+
+class FuzzCampaignReplay : public ::testing::TestWithParam<ReplayCase> {};
+
+TEST_P(FuzzCampaignReplay, SameSeedReplaysByteIdentically) {
+  const ReplayCase &C = GetParam();
+  auto Run = [&C](std::string &LogOut) {
     fuzz::CampaignOptions Opts;
-    Opts.Seed = 11;
-    Opts.Runs = 30;
+    Opts.OnlyScenario = C.Scenario;
+    Opts.Seed = 3;
+    Opts.Runs = C.Runs;
+    Opts.Jobs = 4;
     stats::Registry Stats;
     std::ostringstream Log;
     fuzz::CampaignResult R = fuzz::runCampaign(Opts, Stats, &Log);
+    EXPECT_TRUE(R.ok()) << Log.str();
+    EXPECT_EQ(R.RunsExecuted, C.Runs);
     LogOut = Log.str();
     return Stats.snapshot().Counters;
   };
@@ -264,6 +284,15 @@ TEST(FuzzCampaign, SameSeedReplaysByteIdentically) {
   EXPECT_EQ(LogA, LogB);
   EXPECT_EQ(CountersA, CountersB);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Campaigns, FuzzCampaignReplay,
+    ::testing::Values(ReplayCase{"mixed", "", 60},
+                      ReplayCase{"edit_replay", "edit-replay", 10},
+                      ReplayCase{"inference", "inference", 15},
+                      ReplayCase{"vm", "vm", 40},
+                      ReplayCase{"frontend", "frontend", 20},
+                      ReplayCase{"header_edit", "header-edit", 4}));
 
 TEST(FuzzCampaign, DifferentSeedsDiverge) {
   auto Counters = [](uint64_t Seed) {

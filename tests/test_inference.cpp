@@ -178,6 +178,32 @@ TEST(Inference, NullableStaysUnannotated) {
   EXPECT_FALSE(inferred(*S, "p", "nonnull"));
 }
 
+TEST(Inference, GrepDfaPointersAreNotDerivablyNonnull) {
+  // Every grep-dfa pointer originates at malloc, which may return NULL:
+  // Table 1's annotations are assumptions discharged by casts, not facts
+  // inference could derive.
+  auto S = infer({"nonnull"}, workloads::makeGrepDfa().Source);
+  EXPECT_EQ(S->Outcome.totalInferred(), 0u);
+}
+
+TEST(Inference, ConstantsRootedModuleNeedsNoManualAnnotations) {
+  auto S = infer({"pos", "neg", "nonneg", "nonzero"},
+                 "int scale(int pos factor);\n"
+                 "int run(int reps) {\n"
+                 "  int step = 3;\n"
+                 "  int stride = step * 2;\n"
+                 "  int total = step + stride;\n"
+                 "  int window = 8;\n"
+                 "  for (int i = 0; i < reps; i = i + 1)\n"
+                 "    total = total + stride;\n"
+                 "  return scale(stride) + total / window;\n"
+                 "}\n");
+  EXPECT_EQ(S->Outcome.totalInferred(), 13u);
+  EXPECT_EQ(S->Outcome.Inferred.size(), 6u);
+  // The argument scale() requires to be pos.
+  EXPECT_TRUE(inferred(*S, "stride", "pos"));
+}
+
 TEST(Inference, DeclaredQualifiersNotReReported) {
   auto S = infer({"pos", "neg"}, "int f() { int pos x = 3; return x; }");
   EXPECT_FALSE(inferred(*S, "x", "pos"));

@@ -454,6 +454,19 @@ TEST(SoundnessResources, TightTimeoutReportsResourceOut) {
   EXPECT_TRUE(SawResourceOut);
 }
 
+TEST(SoundnessResources, TwoInstantiationRoundsSuffice) {
+  // Every builtin obligation discharges at a small matching depth, the
+  // behaviour Simplify's trigger-based instantiation relies on.
+  qual::QualifierSet Set;
+  DiagnosticEngine Diags;
+  ASSERT_TRUE(qual::loadAllBuiltinQualifiers(Set, Diags));
+  prover::ProverOptions Options;
+  Options.MaxRounds = 2;
+  SoundnessChecker SC(Set, Options);
+  for (const char *Name : {"pos", "nonzero", "nonnull", "unique", "unaliased"})
+    EXPECT_TRUE(SC.checkQualifier(Name).sound()) << Name;
+}
+
 TEST(SoundnessResources, DefaultBudgetsAmple) {
   auto Set = loadBuiltins({"unique", "unaliased"});
   SoundnessChecker SC(Set);

@@ -15,6 +15,7 @@
 #include "interp/Interp.h"
 #include "qual/Builtins.h"
 #include "qual/QualParser.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 #include <sstream>
@@ -168,6 +169,28 @@ TEST(VmExec, PrintfFormatViolationBytesMatch) {
       {});
   EXPECT_EQ(R.Interp.Status, RunStatus::Ok);
   ASSERT_EQ(R.Interp.FormatViolations.size(), 1u);
+}
+
+TEST(VmExec, PaperWorkloadsMatchInterpreter) {
+  // The section 6 programs, including a four-fold grep-dfa, are the
+  // longest real runs the engines see; all three configurations must
+  // agree on them as on the small shapes above.
+  workloads::GeneratedWorkload Dfa4 = workloads::makeGrepDfa(4);
+  Dfa4.Name += "-x4";
+  const std::pair<workloads::GeneratedWorkload, std::vector<std::string>>
+      Programs[] = {
+          {workloads::makeGrepDfa(), {"nonnull"}},
+          {std::move(Dfa4), {"nonnull"}},
+          {workloads::makeBftpd(), {"untainted"}},
+          {workloads::makeMingetty(), {"untainted"}},
+          {workloads::makeIdentd(), {"untainted"}},
+      };
+  for (const auto &[W, Quals] : Programs) {
+    SCOPED_TRACE(W.Name);
+    EngineRuns R = runAllEngines(W.Source, Quals);
+    EXPECT_EQ(R.Interp.Status, RunStatus::Ok) << R.Interp.TrapMessage;
+    EXPECT_GT(R.Interp.Steps, 0u);
+  }
 }
 
 //===----------------------------------------------------------------------===//
