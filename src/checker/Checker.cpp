@@ -340,7 +340,7 @@ bool QualChecker::evalPred(const Pred &P, const Bindings &B) {
 //===----------------------------------------------------------------------===//
 
 std::vector<const QualifierDef *>
-QualChecker::refQualsOn(const TypePtr &Ty) const {
+QualChecker::refQualsOn(TypePtr Ty) const {
   std::vector<const QualifierDef *> Out;
   for (const std::string &Name : Ty->quals())
     if (const QualifierDef *Q = Quals.find(Name))
@@ -349,7 +349,7 @@ QualChecker::refQualsOn(const TypePtr &Ty) const {
   return Out;
 }
 
-void QualChecker::checkAssignmentTo(const TypePtr &DstTy, const Expr *RHS,
+void QualChecker::checkAssignmentTo(TypePtr DstTy, const Expr *RHS,
                                     SourceLoc Loc, const std::string &What,
                                     const VarDecl *TargetVar) {
   for (const QualifierDef *Q : refQualsOn(DstTy))
@@ -357,7 +357,7 @@ void QualChecker::checkAssignmentTo(const TypePtr &DstTy, const Expr *RHS,
   checkValueQualFlow(DstTy, RHS, Loc, What, TargetVar);
 }
 
-void QualChecker::checkValueQualFlow(const TypePtr &DstTy, const Expr *RHS,
+void QualChecker::checkValueQualFlow(TypePtr DstTy, const Expr *RHS,
                                      SourceLoc Loc, const std::string &What,
                                      const VarDecl *TargetVar) {
   TypePtr RHSTy = RHS->Ty;
@@ -602,7 +602,7 @@ void QualChecker::scanCall(const CallExpr *Call) {
     checkAssignmentTo(Callee->Params[I]->DeclaredTy, Call->Args[I],
                       Call->Args[I]->Loc,
                       "argument " + std::to_string(I + 1) + " of call to '" +
-                          Callee->Name + "'",
+                          std::string(Callee->Name) + "'",
                       Callee->Params[I]);
 }
 
@@ -626,7 +626,8 @@ void QualChecker::checkStmt(Stmt *S) {
       scanExpr(Var->Init, false);
     }
     checkAssignmentTo(Var->DeclaredTy, Var->Init, Var->Loc,
-                      "initialization of '" + Var->Name + "'", Var);
+                      "initialization of '" + std::string(Var->Name) + "'",
+                      Var);
     return;
   }
   case Stmt::Kind::Assign: {
@@ -701,7 +702,7 @@ void QualChecker::checkStmt(Stmt *S) {
     assert(CurrentFn && "return outside function");
     if (!CurrentFn->RetTy->isVoid())
       checkAssignmentTo(CurrentFn->RetTy, Ret->Value, Ret->Loc,
-                        "return from '" + CurrentFn->Name + "'");
+                        "return from '" + std::string(CurrentFn->Name) + "'");
     return;
   }
   case Stmt::Kind::Break:
@@ -1010,7 +1011,8 @@ void QualChecker::checkNarrowed(
 
 void QualChecker::checkFunction(FuncDecl *Fn) {
   trace::Span S("check.unit",
-                trace::Tracer::enabled() ? Fn->Name : std::string());
+                trace::Tracer::enabled() ? std::string(Fn->Name)
+                                         : std::string());
   CurrentFn = Fn;
   checkStmt(Fn->Body);
   CurrentFn = nullptr;
@@ -1024,7 +1026,9 @@ CheckResult QualChecker::runGlobals() {
       continue;
     scanExpr(G->Init, false);
     checkAssignmentTo(G->DeclaredTy, G->Init, G->Loc,
-                      "initialization of global '" + G->Name + "'", G);
+                      "initialization of global '" + std::string(G->Name) +
+                          "'",
+                      G);
   }
   return Result;
 }

@@ -218,11 +218,11 @@ private:
   /// declaration of type \p DstTy. Handles value-qualifier subtyping and
   /// reference-qualifier assign rules. \p TargetVar is the destination
   /// variable when the target is a bare variable (for failure records).
-  void checkAssignmentTo(const cminus::TypePtr &DstTy, const cminus::Expr *RHS,
+  void checkAssignmentTo(cminus::TypePtr DstTy, const cminus::Expr *RHS,
                          SourceLoc Loc, const std::string &What,
                          const cminus::VarDecl *TargetVar = nullptr);
   /// Value-qualifier half of an assignment check.
-  void checkValueQualFlow(const cminus::TypePtr &DstTy,
+  void checkValueQualFlow(cminus::TypePtr DstTy,
                           const cminus::Expr *RHS, SourceLoc Loc,
                           const std::string &What,
                           const cminus::VarDecl *TargetVar);
@@ -256,7 +256,7 @@ private:
   /// Reference qualifiers with DisallowRead/DisallowAddrOf present on
   /// \p Ty; returns their definitions.
   std::vector<const qual::QualifierDef *>
-  refQualsOn(const cminus::TypePtr &Ty) const;
+  refQualsOn(cminus::TypePtr Ty) const;
 
   void recordCast(const cminus::CastExpr *Cast);
 

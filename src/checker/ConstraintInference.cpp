@@ -105,7 +105,8 @@ std::map<const VarDecl *, VarInfo> buildVarInfo(const Program &Prog) {
     UnitFlows Unit;
     collectUnitFlows(Prog, I + 1, Unit);
     for (const VarDecl *V : Unit.Vars)
-      Info[V] = {I + 1, Fn->Name, V->IsParam ? "parameter" : "local"};
+      Info[V] = {I + 1, std::string(Fn->Name),
+                 V->IsParam ? "parameter" : "local"};
   }
   return Info;
 }
@@ -474,10 +475,9 @@ void stq::checker::applyReport(Program &Prog, const InferenceReport &Report) {
     TypePtr Ty = S.Decl->DeclaredTy;
     for (const SuggestedQual &Q : S.Quals)
       if (!Q.Implied)
-        Ty = Type::withQual(Ty, Q.Qual);
+        Ty = Prog.Ctx.withQual(Ty, Q.Qual);
     const_cast<VarDecl *>(S.Decl)->DeclaredTy = Ty;
   }
-  Prog.Ctx.resetComputedTypes();
 }
 
 unsigned stq::checker::stripInferableQualifiers(Program &Prog,
@@ -499,9 +499,8 @@ unsigned stq::checker::stripInferableQualifiers(Program &Prog,
       continue;
     Stripped += Present;
     const_cast<VarDecl *>(Var)->DeclaredTy =
-        Type::withoutQualsIn(Var->DeclaredTy, Inferable);
+        Prog.Ctx.withoutQualsIn(Var->DeclaredTy, Inferable);
   }
-  Prog.Ctx.resetComputedTypes();
   return Stripped;
 }
 
@@ -611,12 +610,12 @@ std::vector<TaintFinding> stq::checker::checkTaintFlows(
     if (anyLevelHasQual(E.Target->DeclaredTy, Bottom) &&
         State.exprTainted(E.RHS))
       Findings.push_back({E.RHS->Loc, Top + " data flows into " + Bottom +
-                                          "-annotated '" + E.Target->Name +
-                                          "'"});
+                                          "-annotated '" +
+                                          std::string(E.Target->Name) + "'"});
   for (const ReturnFlow &R : Flows.Returns)
     if (anyLevelHasQual(R.Fn->RetTy, Bottom) && State.exprTainted(R.Value))
       Findings.push_back({R.Value->Loc, Top + " data flows into " + Bottom +
                                             "-annotated return of '" +
-                                            R.Fn->Name + "'"});
+                                            std::string(R.Fn->Name) + "'"});
   return Findings;
 }

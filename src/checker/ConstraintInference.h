@@ -155,13 +155,15 @@ InferenceReport fixpointReport(cminus::Program &Prog,
                                const qual::QualifierSet &Quals,
                                const ConstraintInferenceOptions &Options);
 
-/// Applies every suggestion's minimal set to the declared types and resets
-/// computed types; callers re-run Sema (or re-parse the printed source).
+/// Applies every suggestion's minimal set to the declared types, with
+/// types from \p Prog's context. Expression types are stale until the
+/// caller re-runs Sema (or re-parses the printed source).
 void applyReport(cminus::Program &Prog, const InferenceReport &Report);
 
 /// Strips every inferable qualifier (value qualifiers with invariants)
 /// from all declared variable types — the fuzz oracle's annotation-removal
-/// step. Returns the number of (variable, qualifier) pairs removed.
+/// step. Returns the number of (variable, qualifier) pairs removed. As
+/// with applyReport, expression types are stale until Sema re-runs.
 unsigned stripInferableQualifiers(cminus::Program &Prog,
                                   const qual::QualifierSet &Quals);
 

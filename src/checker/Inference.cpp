@@ -86,8 +86,7 @@ void stq::checker::applyInference(Program &Prog,
   for (const auto &[Var, Quals] : Outcome.Inferred) {
     TypePtr Ty = Var->DeclaredTy;
     for (const std::string &Q : Quals)
-      Ty = cminus::Type::withQual(Ty, Q);
+      Ty = Prog.Ctx.withQual(Ty, Q);
     const_cast<VarDecl *>(Var)->DeclaredTy = Ty;
   }
-  Prog.Ctx.resetComputedTypes();
 }

@@ -62,8 +62,8 @@ InferenceOutcome inferQualifiers(cminus::Program &Prog,
                                  const qual::QualifierSet &Quals,
                                  InferenceOptions Options = {});
 
-/// Applies an inference outcome to the program's declared types and
-/// resets computed types (callers re-run Sema afterwards).
+/// Applies an inference outcome to the program's declared types, with
+/// types from its context (callers re-run Sema afterwards).
 void applyInference(cminus::Program &Prog, const InferenceOutcome &Outcome);
 
 } // namespace stq::checker

@@ -2,7 +2,53 @@
 
 #include "cminus/AST.h"
 
+#include <cstdlib>
+#include <new>
+
 using namespace stq::cminus;
+
+BumpArena::~BumpArena() {
+  while (Chunks) {
+    Chunk *Next = Chunks->Next;
+    std::free(Chunks);
+    Chunks = Next;
+  }
+}
+
+void *BumpArena::allocateSlow(size_t Size, size_t Align) {
+  // An object that would fill most of a chunk gets a block of its own, so
+  // the current chunk keeps serving small nodes.
+  size_t Needed = sizeof(Chunk) + Size + Align;
+  bool Own = Needed > ChunkSize / 4;
+  size_t Bytes = Own ? Needed : ChunkSize;
+  auto *C = static_cast<Chunk *>(std::malloc(Bytes));
+  if (!C)
+    throw std::bad_alloc();
+  C->Size = Bytes;
+  char *Begin = reinterpret_cast<char *>(C + 1);
+  uintptr_t P = (reinterpret_cast<uintptr_t>(Begin) + Align - 1) & ~(Align - 1);
+  if (Own && Chunks) {
+    // Link it behind the current chunk, which stays the bump target.
+    C->Next = Chunks->Next;
+    Chunks->Next = C;
+    return reinterpret_cast<void *>(P);
+  }
+  C->Next = Chunks;
+  Chunks = C;
+  Cur = reinterpret_cast<char *>(P + Size);
+  End = reinterpret_cast<char *>(C) + Bytes;
+  return reinterpret_cast<void *>(P);
+}
+
+bool BumpArena::contains(const void *P) const {
+  auto Addr = reinterpret_cast<uintptr_t>(P);
+  for (const Chunk *C = Chunks; C; C = C->Next) {
+    auto Begin = reinterpret_cast<uintptr_t>(C + 1);
+    if (Addr >= Begin && Addr < reinterpret_cast<uintptr_t>(C) + C->Size)
+      return true;
+  }
+  return false;
+}
 
 const StructDef::Field *StructDef::findField(
     std::string_view FieldName) const {
@@ -10,14 +56,6 @@ const StructDef::Field *StructDef::findField(
     if (F.Name == FieldName)
       return &F;
   return nullptr;
-}
-
-TypePtr FuncDecl::type() const {
-  std::vector<TypePtr> ParamTys;
-  ParamTys.reserve(Params.size());
-  for (const VarDecl *P : Params)
-    ParamTys.push_back(P->DeclaredTy);
-  return Type::getFunction(RetTy, std::move(ParamTys), Variadic);
 }
 
 const char *stq::cminus::binaryOpSpelling(BinaryOp Op) {

@@ -13,6 +13,11 @@
 /// an assignment/initialization). The qualifier checker and the soundness
 /// axioms both consume this lowered form.
 ///
+/// A translation unit's nodes, types and names live in one arena owned by
+/// its ASTContext. Nodes are trivially destructible: names are views of
+/// arena copies, child lists are NodeLists, and types are plain pointers,
+/// so freeing a TU frees its arena's chunks and destroys no node.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STQ_CMINUS_AST_H
@@ -24,9 +29,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace stq::cminus {
@@ -43,15 +51,14 @@ class BlockStmt;
 class StructDef {
 public:
   struct Field {
-    std::string Name;
+    std::string_view Name;
     TypePtr Ty;
   };
 
-  StructDef(std::string Name, SourceLoc Loc)
-      : Name(std::move(Name)), Loc(Loc) {}
+  StructDef(std::string_view Name, SourceLoc Loc) : Name(Name), Loc(Loc) {}
 
-  std::string Name;
-  std::vector<Field> Fields;
+  std::string_view Name;
+  NodeList<Field> Fields;
   SourceLoc Loc;
 
   /// Returns the field named \p FieldName, or nullptr.
@@ -62,10 +69,10 @@ public:
 /// retains every user-written qualifier (value and reference).
 class VarDecl {
 public:
-  VarDecl(std::string Name, TypePtr Ty, SourceLoc Loc, unsigned Id)
-      : Name(std::move(Name)), DeclaredTy(std::move(Ty)), Loc(Loc), Id(Id) {}
+  VarDecl(std::string_view Name, TypePtr Ty, SourceLoc Loc, unsigned Id)
+      : Name(Name), DeclaredTy(Ty), Loc(Loc), Id(Id) {}
 
-  std::string Name;
+  std::string_view Name;
   TypePtr DeclaredTy;
   /// Optional initializer (may be a call; treated as an assignment
   /// instruction by the checker).
@@ -80,20 +87,18 @@ public:
 /// A function declaration or definition.
 class FuncDecl {
 public:
-  FuncDecl(std::string Name, TypePtr RetTy, SourceLoc Loc)
-      : Name(std::move(Name)), RetTy(std::move(RetTy)), Loc(Loc) {}
+  FuncDecl(std::string_view Name, TypePtr RetTy, SourceLoc Loc)
+      : Name(Name), RetTy(RetTy), Loc(Loc) {}
 
-  std::string Name;
+  std::string_view Name;
   TypePtr RetTy;
-  std::vector<VarDecl *> Params;
+  NodeList<VarDecl *> Params;
   bool Variadic = false;
   /// Null for prototypes.
   BlockStmt *Body = nullptr;
   SourceLoc Loc;
 
   bool isDefinition() const { return Body != nullptr; }
-  /// Builds the function type from the return and parameter types.
-  TypePtr type() const;
 };
 
 //===----------------------------------------------------------------------===//
@@ -122,11 +127,11 @@ public:
   /// The address expression, for Mem l-values.
   Expr *Addr = nullptr;
   /// Field path applied after the base (empty for plain variables/derefs).
-  std::vector<std::string> Fields;
+  NodeList<std::string_view> Fields;
   SourceLoc Loc;
   /// Declared type of the l-value, including reference qualifiers; set by
   /// Sema.
-  TypePtr Ty;
+  TypePtr Ty = nullptr;
 };
 
 //===----------------------------------------------------------------------===//
@@ -171,14 +176,12 @@ public:
     SizeofType,
   };
 
-  virtual ~Expr() = default;
-
   Kind getKind() const { return K; }
 
   SourceLoc Loc;
   /// Static type, set by Sema. For l-value reads this is the r-type
   /// (reference qualifiers stripped).
-  TypePtr Ty;
+  TypePtr Ty = nullptr;
   /// Dense id unique within one Program; used for memoization keys.
   unsigned Id = 0;
 
@@ -201,9 +204,9 @@ public:
 /// A string literal (type char*).
 class StrConstExpr : public Expr {
 public:
-  StrConstExpr(std::string Value, SourceLoc Loc)
-      : Expr(Kind::StrConst, Loc), Value(std::move(Value)) {}
-  std::string Value;
+  StrConstExpr(std::string_view Value, SourceLoc Loc)
+      : Expr(Kind::StrConst, Loc), Value(Value) {}
+  std::string_view Value;
   static bool classof(const Expr *E) { return E->getKind() == Kind::StrConst; }
 };
 
@@ -256,7 +259,7 @@ public:
 class CastExpr : public Expr {
 public:
   CastExpr(TypePtr Target, Expr *Sub, SourceLoc Loc)
-      : Expr(Kind::Cast, Loc), Target(std::move(Target)), Sub(Sub) {}
+      : Expr(Kind::Cast, Loc), Target(Target), Sub(Sub) {}
   TypePtr Target;
   Expr *Sub;
   static bool classof(const Expr *E) { return E->getKind() == Kind::Cast; }
@@ -267,11 +270,10 @@ public:
 /// which is ignored for pattern-matching purposes, as in the paper).
 class CallExpr : public Expr {
 public:
-  CallExpr(std::string CalleeName, std::vector<Expr *> Args, SourceLoc Loc)
-      : Expr(Kind::Call, Loc), CalleeName(std::move(CalleeName)),
-        Args(std::move(Args)) {}
-  std::string CalleeName;
-  std::vector<Expr *> Args;
+  CallExpr(std::string_view CalleeName, NodeList<Expr *> Args, SourceLoc Loc)
+      : Expr(Kind::Call, Loc), CalleeName(CalleeName), Args(Args) {}
+  std::string_view CalleeName;
+  NodeList<Expr *> Args;
   /// Resolved by Sema; null for unknown externals.
   FuncDecl *Callee = nullptr;
   /// True for memory-allocation routines (malloc); these match the `new`
@@ -284,7 +286,7 @@ public:
 class SizeofTypeExpr : public Expr {
 public:
   SizeofTypeExpr(TypePtr Target, SourceLoc Loc)
-      : Expr(Kind::SizeofType, Loc), Target(std::move(Target)) {}
+      : Expr(Kind::SizeofType, Loc), Target(Target) {}
   TypePtr Target;
   static bool classof(const Expr *E) {
     return E->getKind() == Kind::SizeofType;
@@ -310,8 +312,6 @@ public:
     Continue,
   };
 
-  virtual ~Stmt() = default;
-
   Kind getKind() const { return K; }
   SourceLoc Loc;
 
@@ -325,7 +325,7 @@ private:
 class BlockStmt : public Stmt {
 public:
   explicit BlockStmt(SourceLoc Loc) : Stmt(Kind::Block, Loc) {}
-  std::vector<Stmt *> Stmts;
+  NodeList<Stmt *> Stmts;
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Block; }
 };
 
@@ -408,73 +408,124 @@ public:
 // Program
 //===----------------------------------------------------------------------===//
 
-/// Owns every AST node of one translation unit and hands out raw pointers.
+/// Owns one translation unit: its AST nodes, its types and the names both
+/// use, all allocated in one arena that is freed as a whole. Nodes are
+/// never destroyed one at a time, so every node class is trivially
+/// destructible. Types other than function types are built once per
+/// context (see Type.h), so within one Program two equal such types are
+/// the same node.
 class ASTContext {
 public:
+  ASTContext();
+  ASTContext(const ASTContext &) = delete;
+  ASTContext &operator=(const ASTContext &) = delete;
+
   template <typename T, typename... Args> T *createExpr(Args &&...A) {
-    auto Node = std::make_unique<T>(std::forward<Args>(A)...);
-    T *Raw = Node.get();
-    Raw->Id = NextExprId++;
-    Exprs.push_back(std::move(Node));
-    return Raw;
+    T *Node = create<T>(std::forward<Args>(A)...);
+    Node->Id = NextExprId++;
+    return Node;
   }
 
   LValue *createLValue(VarDecl *Var, SourceLoc Loc) {
-    LValues.push_back(std::make_unique<LValue>(Var, Loc));
-    return LValues.back().get();
+    return create<LValue>(Var, Loc);
   }
   LValue *createLValue(Expr *Addr, SourceLoc Loc) {
-    LValues.push_back(std::make_unique<LValue>(Addr, Loc));
-    return LValues.back().get();
+    return create<LValue>(Addr, Loc);
   }
 
   template <typename T, typename... Args> T *createStmt(Args &&...A) {
-    auto Node = std::make_unique<T>(std::forward<Args>(A)...);
-    T *Raw = Node.get();
-    Stmts.push_back(std::move(Node));
-    return Raw;
+    return create<T>(std::forward<Args>(A)...);
   }
 
-  VarDecl *createVar(std::string Name, TypePtr Ty, SourceLoc Loc) {
-    auto Node =
-        std::make_unique<VarDecl>(std::move(Name), std::move(Ty), Loc,
-                                  NextVarId++);
-    VarDecl *Raw = Node.get();
-    Vars.push_back(std::move(Node));
-    return Raw;
+  /// The declaration nodes copy \p Name into the arena.
+  VarDecl *createVar(std::string_view Name, TypePtr Ty, SourceLoc Loc) {
+    return create<VarDecl>(copyString(Name), Ty, Loc, NextVarId++);
+  }
+  FuncDecl *createFunc(std::string_view Name, TypePtr RetTy, SourceLoc Loc) {
+    return create<FuncDecl>(copyString(Name), RetTy, Loc);
+  }
+  StructDef *createStruct(std::string_view Name, SourceLoc Loc) {
+    return create<StructDef>(copyString(Name), Loc);
   }
 
-  FuncDecl *createFunc(std::string Name, TypePtr RetTy, SourceLoc Loc) {
-    Funcs.push_back(
-        std::make_unique<FuncDecl>(std::move(Name), std::move(RetTy), Loc));
-    return Funcs.back().get();
+  /// A copy of \p S that lives as long as this context.
+  std::string_view copyString(std::string_view S) {
+    return Arena.copyString(S);
   }
 
-  StructDef *createStruct(std::string Name, SourceLoc Loc) {
-    Structs.push_back(std::make_unique<StructDef>(std::move(Name), Loc));
-    return Structs.back().get();
+  /// An arena copy of \p Elems.
+  template <typename T> NodeList<T> list(const T *Elems, size_t N) {
+    static_assert(std::is_trivially_destructible_v<T>);
+    if (N == 0)
+      return {};
+    T *Data = static_cast<T *>(Arena.allocate(sizeof(T) * N, alignof(T)));
+    std::uninitialized_copy(Elems, Elems + N, Data);
+    return {Data, N};
+  }
+  template <typename T> NodeList<T> list(const std::vector<T> &Elems) {
+    return list(Elems.data(), Elems.size());
   }
 
   unsigned numExprs() const { return NextExprId; }
 
-  /// Clears every computed type so Sema can be re-run after a tool mutates
-  /// declared types (the annotation driver's iterative loop).
-  void resetComputedTypes() {
-    for (auto &E : Exprs)
-      E->Ty = nullptr;
-    for (auto &LV : LValues)
-      LV->Ty = nullptr;
-  }
+  // Types. Each factory returns this context's one node for the type it
+  // names, building it on first use.
+  TypePtr voidTy() const { return Void; }
+  TypePtr intTy() const { return Int; }
+  TypePtr charTy() const { return Char; }
+  TypePtr getPointer(TypePtr Pointee);
+  TypePtr getStruct(std::string_view Name);
+  /// Function types are not cached.
+  TypePtr getFunction(TypePtr Ret, const std::vector<TypePtr> &Params,
+                      bool Variadic);
+  /// \p T with \p Qual added to its top-level qualifier set.
+  TypePtr withQual(TypePtr T, std::string_view Qual);
+  /// \p T with the top-level qualifier set \p Quals instead of its own.
+  TypePtr withQuals(TypePtr T, std::vector<std::string> Quals);
+  /// \p T without the top-level qualifiers in \p Drop (reference
+  /// qualifiers, when Sema computes r-types); \p T itself when it carries
+  /// none of them.
+  TypePtr withoutQualsIn(TypePtr T, const std::vector<std::string> &Drop);
+
+  /// True when \p T was built by this context.
+  bool owns(TypePtr T) const { return Arena.contains(T); }
 
 private:
-  std::vector<std::unique_ptr<Expr>> Exprs;
-  std::vector<std::unique_ptr<LValue>> LValues;
-  std::vector<std::unique_ptr<Stmt>> Stmts;
-  std::vector<std::unique_ptr<VarDecl>> Vars;
-  std::vector<std::unique_ptr<FuncDecl>> Funcs;
-  std::vector<std::unique_ptr<StructDef>> Structs;
+  template <typename T, typename... Args> T *create(Args &&...A) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena nodes are never destroyed");
+    return new (Arena.allocate(sizeof(T), alignof(T)))
+        T(std::forward<Args>(A)...);
+  }
+  Type *newType(Type::Kind K);
+  Type *newType(const Type &Copy);
+
+  struct TypeKeyHash {
+    template <typename A, typename B>
+    size_t operator()(const std::pair<A, B> &K) const {
+      return std::hash<A>()(K.first) * 31 + std::hash<B>()(K.second);
+    }
+  };
+
+  // Declared first, so it is destroyed last.
+  BumpArena Arena;
   unsigned NextExprId = 0;
   unsigned NextVarId = 0;
+  TypePtr Void, Int, Char;
+  /// Every distinct top-level qualifier set of this context's types.
+  std::set<std::vector<std::string>> QualSets;
+  std::unordered_map<TypePtr, TypePtr> PointerTypes;
+  /// Keys view the struct nodes' own names.
+  std::unordered_map<std::string_view, TypePtr> StructTypes;
+  /// (unqualified type, interned qualifier set) -> the qualified node.
+  std::unordered_map<std::pair<TypePtr, const std::vector<std::string> *>,
+                     TypePtr, TypeKeyHash>
+      QualifiedTypes;
+  /// withQual() answers: (type, added qualifier) -> result. Keys view the
+  /// interned qualifier sets.
+  std::unordered_map<std::pair<TypePtr, std::string_view>, TypePtr,
+                     TypeKeyHash>
+      AddedQual;
 };
 
 /// One parsed translation unit.

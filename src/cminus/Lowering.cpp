@@ -58,8 +58,9 @@ private:
     if (Pre.empty())
       return S;
     auto *Block = Prog.Ctx.createStmt<BlockStmt>(S->Loc);
-    Block->Stmts = Pre;
-    Block->Stmts.push_back(S);
+    std::vector<Stmt *> Stmts = Pre;
+    Stmts.push_back(S);
+    Block->Stmts = Prog.Ctx.list(Stmts);
     return Block;
   }
 
@@ -91,7 +92,8 @@ void Lowerer::lowerBlock(BlockStmt *Block) {
       NewStmts.push_back(P);
     NewStmts.push_back(S);
   }
-  Block->Stmts = std::move(NewStmts);
+  if (NewStmts.size() != Block->Stmts.size())
+    Block->Stmts = Prog.Ctx.list(NewStmts);
 }
 
 void Lowerer::lowerStmt(Stmt *S, std::vector<Stmt *> &Pre) {
@@ -234,13 +236,14 @@ void Lowerer::flattenLValue(LValue *LV, std::vector<Stmt *> &Pre) {
     if (!Addr)
       break;
     LValue *Inner = Addr->LV;
-    std::vector<std::string> ExtraFields = LV->Fields;
-    std::vector<std::string> Fields = Inner->Fields;
+    NodeList<std::string_view> ExtraFields = LV->Fields;
+    std::vector<std::string_view> Fields(Inner->Fields.begin(),
+                                         Inner->Fields.end());
     Fields.insert(Fields.end(), ExtraFields.begin(), ExtraFields.end());
     // Sema ran before lowering; recompute the collapsed l-value's type
     // from the inner l-value's (which covers Inner->Fields already).
     TypePtr Ty = Inner->Ty;
-    for (const std::string &Field : ExtraFields) {
+    for (std::string_view Field : ExtraFields) {
       if (!Ty)
         break;
       TypePtr Bare = Type::withoutQuals(Ty);
@@ -252,16 +255,16 @@ void Lowerer::flattenLValue(LValue *LV, std::vector<Stmt *> &Pre) {
     LV->K = Inner->K;
     LV->Var = Inner->Var;
     LV->Addr = Inner->Addr;
-    LV->Fields = std::move(Fields);
+    LV->Fields = Prog.Ctx.list(Fields);
     LV->Ty = Ty;
   }
 }
 
 Expr *Lowerer::hoistCall(CallExpr *Call, std::vector<Stmt *> &Pre) {
-  TypePtr Ty = Call->Ty ? Call->Ty : Type::getInt();
+  TypePtr Ty = Call->Ty ? Call->Ty : Prog.Ctx.intTy();
   if (Ty->isVoid()) {
     error(Call->Loc, "void call used as a value");
-    Ty = Type::getInt();
+    Ty = Prog.Ctx.intTy();
   }
   std::string Name = "__cil_tmp" + std::to_string(NextTemp++);
   VarDecl *Temp = Prog.Ctx.createVar(Name, Ty, Call->Loc);

@@ -118,8 +118,9 @@ private:
   // Top level.
   void parseTopLevel();
   void parseStructDef();
-  void parseFunctionRest(TypePtr RetTy, std::string Name, SourceLoc Loc);
-  void parseGlobalRest(TypePtr Ty, std::string Name, uint32_t NameId,
+  void parseFunctionRest(TypePtr RetTy, const std::string &Name,
+                         SourceLoc Loc);
+  void parseGlobalRest(TypePtr Ty, const std::string &Name, uint32_t NameId,
                        SourceLoc Loc);
 
   // Statements.
@@ -170,6 +171,11 @@ private:
   std::vector<std::string> QualNames;
   DiagnosticEngine &Diags;
   std::unique_ptr<Program> Prog;
+  ASTContext &Ctx;
+  /// Statements of the open blocks and arguments of the open calls,
+  /// innermost last; each list moves into the arena when it closes.
+  std::vector<Stmt *> OpenStmts;
+  std::vector<Expr *> OpenArgs;
 
   struct Binding {
     VarDecl *Var = nullptr;
@@ -184,18 +190,6 @@ private:
   std::vector<Shadowed> Undo;
   /// Undo.size() at each open scope.
   std::vector<size_t> ScopeMarks;
-
-  // The parse's type cache: each distinct struct, pointer and qualified
-  // type is built once. Cached nodes keep their keys alive.
-  struct QualKeyHash {
-    size_t operator()(const std::pair<const Type *, uint32_t> &K) const {
-      return std::hash<const Type *>()(K.first) * 31 + K.second;
-    }
-  };
-  std::unordered_map<uint32_t, TypePtr> StructTypes;
-  std::unordered_map<const Type *, TypePtr> PointerTypes;
-  std::unordered_map<std::pair<const Type *, uint32_t>, TypePtr, QualKeyHash>
-      QualifiedTypes;
 
   unsigned Depth = 0;
   bool DepthErrorReported = false;
@@ -231,7 +225,7 @@ Parser::Parser(std::vector<Token> Toks,
                const std::vector<std::string> &QualifierNames,
                DiagnosticEngine &Diags)
     : Tokens(std::move(Toks)), QualNames(QualifierNames), Diags(Diags),
-      Prog(std::make_unique<Program>()) {
+      Prog(std::make_unique<Program>()), Ctx(Prog->Ctx) {
   std::sort(QualNames.begin(), QualNames.end());
   QualNames.erase(std::unique(QualNames.begin(), QualNames.end()),
                   QualNames.end());
@@ -350,7 +344,8 @@ void Parser::declareVar(VarDecl *Var, uint32_t Name) {
   uint32_t Here = static_cast<uint32_t>(ScopeMarks.size());
   if (B.Var && B.Depth == Here) {
     Diags.error(Var->Loc, "parse",
-                "redeclaration of '" + Var->Name + "' in the same scope");
+                "redeclaration of '" + std::string(Var->Name) +
+                    "' in the same scope");
     return;
   }
   Undo.push_back({Name, B});
@@ -368,45 +363,33 @@ bool Parser::atTypeStart(unsigned Ahead) const {
 
 TypePtr Parser::parseQuals(TypePtr Base) {
   while (qualAt()) {
-    uint32_t Q = nameAt();
+    Base = Ctx.withQual(Base, QualNames[nameAt()]);
     advance();
-    TypePtr &Slot = QualifiedTypes[{Base.get(), Q}];
-    if (!Slot)
-      Slot = Type::withQual(Base, QualNames[Q]);
-    Base = Slot;
   }
   return Base;
 }
 
 TypePtr Parser::parseType() {
-  TypePtr Base;
+  TypePtr Base = nullptr;
   if (matchKw(Kw::Void)) {
-    Base = Type::getVoid();
+    Base = Ctx.voidTy();
   } else if (matchKw(Kw::Int)) {
-    Base = Type::getInt();
+    Base = Ctx.intTy();
   } else if (matchKw(Kw::Char)) {
-    Base = Type::getChar();
+    Base = Ctx.charTy();
   } else if (matchKw(Kw::Struct)) {
     if (!check(TokenKind::Identifier)) {
       error("expected struct name");
       return nullptr;
     }
-    TypePtr &Slot = StructTypes[nameAt()];
-    if (!Slot)
-      Slot = Type::getStruct(peek().Text);
-    advance();
-    Base = Slot;
+    Base = Ctx.getStruct(advance().Text);
   } else {
     error("expected type");
     return nullptr;
   }
-  Base = parseQuals(std::move(Base));
-  while (match(TokenKind::Star)) {
-    TypePtr &Slot = PointerTypes[Base.get()];
-    if (!Slot)
-      Slot = Type::getPointer(Base);
-    Base = parseQuals(Slot);
-  }
+  Base = parseQuals(Base);
+  while (match(TokenKind::Star))
+    Base = parseQuals(Ctx.getPointer(Base));
   return Base;
 }
 
@@ -453,16 +436,17 @@ void Parser::parseTopLevel() {
     return;
   }
   uint32_t NameId = nameAt();
-  std::string Name = advance().Text;
+  const std::string &Name = advance().Text;
   if (check(TokenKind::LParen))
-    parseFunctionRest(std::move(Ty), std::move(Name), Loc);
+    parseFunctionRest(Ty, Name, Loc);
   else
-    parseGlobalRest(std::move(Ty), std::move(Name), NameId, Loc);
+    parseGlobalRest(Ty, Name, NameId, Loc);
 }
 
 void Parser::parseStructDef() {
   SourceLoc Loc = advance().Loc; // 'struct'
-  StructDef *Def = Prog->Ctx.createStruct(advance().Text, Loc);
+  StructDef *Def = Ctx.createStruct(advance().Text, Loc);
+  std::vector<StructDef::Field> Fields;
   expect(TokenKind::LBrace, "after struct name");
   while (!check(TokenKind::RBrace) && !check(TokenKind::EndOfFile)) {
     TypePtr FieldTy = parseType();
@@ -475,20 +459,25 @@ void Parser::parseStructDef() {
       synchronize();
       continue;
     }
-    std::string FieldName = advance().Text;
-    if (Def->findField(FieldName))
+    const std::string &FieldName = advance().Text;
+    if (std::any_of(Fields.begin(), Fields.end(),
+                    [&](const StructDef::Field &F) {
+                      return F.Name == FieldName;
+                    }))
       error("duplicate field '" + FieldName + "'");
-    Def->Fields.push_back({std::move(FieldName), std::move(FieldTy)});
+    Fields.push_back({Ctx.copyString(FieldName), FieldTy});
     expect(TokenKind::Semi, "after struct field");
   }
+  Def->Fields = Ctx.list(Fields);
   expect(TokenKind::RBrace, "to close struct definition");
   expect(TokenKind::Semi, "after struct definition");
   Prog->addStruct(Def);
 }
 
-void Parser::parseFunctionRest(TypePtr RetTy, std::string Name,
+void Parser::parseFunctionRest(TypePtr RetTy, const std::string &Name,
                                SourceLoc Loc) {
-  FuncDecl *Fn = Prog->Ctx.createFunc(std::move(Name), std::move(RetTy), Loc);
+  FuncDecl *Fn = Ctx.createFunc(Name, RetTy, Loc);
+  std::vector<VarDecl *> Params;
   expect(TokenKind::LParen, "after function name");
   pushScope(); // Parameter scope.
   if (checkKw(Kw::Void) && peek(1).is(TokenKind::RParen)) {
@@ -502,29 +491,27 @@ void Parser::parseFunctionRest(TypePtr RetTy, std::string Name,
       TypePtr ParamTy = parseType();
       if (!ParamTy)
         break;
-      std::string ParamName;
+      std::string_view ParamName;
       uint32_t ParamId = nameAt();
       SourceLoc ParamLoc = peek().Loc;
       if (check(TokenKind::Identifier) && !qualAt())
         ParamName = advance().Text;
-      VarDecl *Param =
-          Prog->Ctx.createVar(std::move(ParamName), std::move(ParamTy),
-                              ParamLoc);
+      VarDecl *Param = Ctx.createVar(ParamName, ParamTy, ParamLoc);
       Param->IsParam = true;
       if (!Param->Name.empty())
         declareVar(Param, ParamId);
-      Fn->Params.push_back(Param);
+      Params.push_back(Param);
       if (!match(TokenKind::Comma))
         break;
     }
   }
+  Fn->Params = Ctx.list(Params);
   expect(TokenKind::RParen, "to close parameter list");
 
   // Merge with a previous prototype if one exists.
   if (FuncDecl *Prev = Prog->findFunction(Fn->Name)) {
     if (Prev->isDefinition() && check(TokenKind::LBrace))
-      Diags.error(Loc, "parse",
-                  "redefinition of function '" + Fn->Name + "'");
+      Diags.error(Loc, "parse", "redefinition of function '" + Name + "'");
   } else {
     Prog->addFunction(Fn);
   }
@@ -540,9 +527,9 @@ void Parser::parseFunctionRest(TypePtr RetTy, std::string Name,
   popScope();
 }
 
-void Parser::parseGlobalRest(TypePtr Ty, std::string Name, uint32_t NameId,
-                             SourceLoc Loc) {
-  VarDecl *Var = Prog->Ctx.createVar(std::move(Name), std::move(Ty), Loc);
+void Parser::parseGlobalRest(TypePtr Ty, const std::string &Name,
+                             uint32_t NameId, SourceLoc Loc) {
+  VarDecl *Var = Ctx.createVar(Name, Ty, Loc);
   Var->IsGlobal = true;
   declareVar(Var, NameId);
   Prog->Globals.push_back(Var);
@@ -558,13 +545,16 @@ void Parser::parseGlobalRest(TypePtr Ty, std::string Name, uint32_t NameId,
 BlockStmt *Parser::parseBlock() {
   SourceLoc Loc = peek().Loc;
   expect(TokenKind::LBrace, "to open block");
-  auto *Block = Prog->Ctx.createStmt<BlockStmt>(Loc);
+  auto *Block = Ctx.createStmt<BlockStmt>(Loc);
+  size_t Open = OpenStmts.size();
   pushScope();
   while (!check(TokenKind::RBrace) && !check(TokenKind::EndOfFile)) {
     if (Stmt *S = parseStmt())
-      Block->Stmts.push_back(S);
+      OpenStmts.push_back(S);
   }
   popScope();
+  Block->Stmts = Ctx.list(OpenStmts.data() + Open, OpenStmts.size() - Open);
+  OpenStmts.resize(Open);
   expect(TokenKind::RBrace, "to close block");
   return Block;
 }
@@ -589,12 +579,12 @@ Stmt *Parser::parseStmt() {
   case Kw::Break: {
     SourceLoc Loc = advance().Loc;
     expect(TokenKind::Semi, "after 'break'");
-    return Prog->Ctx.createStmt<BreakStmt>(Loc);
+    return Ctx.createStmt<BreakStmt>(Loc);
   }
   case Kw::Continue: {
     SourceLoc Loc = advance().Loc;
     expect(TokenKind::Semi, "after 'continue'");
-    return Prog->Ctx.createStmt<ContinueStmt>(Loc);
+    return Ctx.createStmt<ContinueStmt>(Loc);
   }
   default:
     return parseExprOrAssign();
@@ -614,12 +604,12 @@ Stmt *Parser::parseDeclStmt() {
     return nullptr;
   }
   uint32_t NameId = nameAt();
-  VarDecl *Var = Prog->Ctx.createVar(advance().Text, std::move(Ty), Loc);
+  VarDecl *Var = Ctx.createVar(advance().Text, Ty, Loc);
   if (match(TokenKind::Eq))
     Var->Init = parseExpr();
   declareVar(Var, NameId);
   expect(TokenKind::Semi, "after declaration");
-  return Prog->Ctx.createStmt<DeclStmt>(Var, Loc);
+  return Ctx.createStmt<DeclStmt>(Var, Loc);
 }
 
 Stmt *Parser::parseIf() {
@@ -631,7 +621,7 @@ Stmt *Parser::parseIf() {
   Stmt *Else = nullptr;
   if (matchKw(Kw::Else))
     Else = parseStmt();
-  return Prog->Ctx.createStmt<IfStmt>(Cond, Then, Else, Loc);
+  return Ctx.createStmt<IfStmt>(Cond, Then, Else, Loc);
 }
 
 Stmt *Parser::parseWhile() {
@@ -640,7 +630,7 @@ Stmt *Parser::parseWhile() {
   Expr *Cond = parseExpr();
   expect(TokenKind::RParen, "to close while condition");
   Stmt *Body = parseStmt();
-  return Prog->Ctx.createStmt<WhileStmt>(Cond, Body, Loc);
+  return Ctx.createStmt<WhileStmt>(Cond, Body, Loc);
 }
 
 Stmt *Parser::parseFor() {
@@ -668,9 +658,9 @@ Stmt *Parser::parseFor() {
       LValue *LV = requireLValue(E, "on the left of '='");
       Expr *RHS = parseExpr();
       if (LV)
-        Step = Prog->Ctx.createStmt<AssignStmt>(LV, RHS, E->Loc);
+        Step = Ctx.createStmt<AssignStmt>(LV, RHS, E->Loc);
     } else if (auto *Call = dyn_cast<CallExpr>(E)) {
-      Step = Prog->Ctx.createStmt<CallStmt>(Call, E->Loc);
+      Step = Ctx.createStmt<CallStmt>(Call, E->Loc);
     } else {
       error("for-step must be an assignment or a call");
     }
@@ -678,7 +668,7 @@ Stmt *Parser::parseFor() {
   expect(TokenKind::RParen, "to close for header");
   Stmt *Body = parseStmt();
   popScope();
-  return Prog->Ctx.createStmt<ForStmt>(Init, Cond, Step, Body, Loc);
+  return Ctx.createStmt<ForStmt>(Init, Cond, Step, Body, Loc);
 }
 
 Stmt *Parser::parseReturn() {
@@ -687,7 +677,7 @@ Stmt *Parser::parseReturn() {
   if (!check(TokenKind::Semi))
     Value = parseExpr();
   expect(TokenKind::Semi, "after return statement");
-  return Prog->Ctx.createStmt<ReturnStmt>(Value, Loc);
+  return Ctx.createStmt<ReturnStmt>(Value, Loc);
 }
 
 Stmt *Parser::parseExprOrAssign() {
@@ -699,11 +689,11 @@ Stmt *Parser::parseExprOrAssign() {
     expect(TokenKind::Semi, "after assignment");
     if (!LV)
       return nullptr;
-    return Prog->Ctx.createStmt<AssignStmt>(LV, RHS, Loc);
+    return Ctx.createStmt<AssignStmt>(LV, RHS, Loc);
   }
   expect(TokenKind::Semi, "after expression statement");
   if (auto *Call = dyn_cast<CallExpr>(E))
-    return Prog->Ctx.createStmt<CallStmt>(Call, Loc);
+    return Ctx.createStmt<CallStmt>(Call, Loc);
   error("expression statement must be a call");
   return nullptr;
 }
@@ -720,7 +710,7 @@ LValue *Parser::requireLValue(Expr *E, const char *Context) {
 }
 
 Expr *Parser::makeErrorExpr(SourceLoc Loc) {
-  return Prog->Ctx.createExpr<IntConstExpr>(0, Loc);
+  return Ctx.createExpr<IntConstExpr>(0, Loc);
 }
 
 Expr *Parser::parseExpr() {
@@ -735,7 +725,7 @@ Expr *Parser::parseLOr() {
   while (check(TokenKind::PipePipe)) {
     SourceLoc Loc = advance().Loc;
     Expr *RHS = parseLAnd();
-    LHS = Prog->Ctx.createExpr<BinaryExpr>(BinaryOp::LOr, LHS, RHS, Loc);
+    LHS = Ctx.createExpr<BinaryExpr>(BinaryOp::LOr, LHS, RHS, Loc);
   }
   return LHS;
 }
@@ -745,7 +735,7 @@ Expr *Parser::parseLAnd() {
   while (check(TokenKind::AmpAmp)) {
     SourceLoc Loc = advance().Loc;
     Expr *RHS = parseEquality();
-    LHS = Prog->Ctx.createExpr<BinaryExpr>(BinaryOp::LAnd, LHS, RHS, Loc);
+    LHS = Ctx.createExpr<BinaryExpr>(BinaryOp::LAnd, LHS, RHS, Loc);
   }
   return LHS;
 }
@@ -756,7 +746,7 @@ Expr *Parser::parseEquality() {
     BinaryOp Op = check(TokenKind::EqEq) ? BinaryOp::Eq : BinaryOp::Ne;
     SourceLoc Loc = advance().Loc;
     Expr *RHS = parseRelational();
-    LHS = Prog->Ctx.createExpr<BinaryExpr>(Op, LHS, RHS, Loc);
+    LHS = Ctx.createExpr<BinaryExpr>(Op, LHS, RHS, Loc);
   }
   return LHS;
 }
@@ -776,7 +766,7 @@ Expr *Parser::parseRelational() {
       Op = BinaryOp::Ge;
     SourceLoc Loc = advance().Loc;
     Expr *RHS = parseAdditive();
-    LHS = Prog->Ctx.createExpr<BinaryExpr>(Op, LHS, RHS, Loc);
+    LHS = Ctx.createExpr<BinaryExpr>(Op, LHS, RHS, Loc);
   }
   return LHS;
 }
@@ -787,7 +777,7 @@ Expr *Parser::parseAdditive() {
     BinaryOp Op = check(TokenKind::Plus) ? BinaryOp::Add : BinaryOp::Sub;
     SourceLoc Loc = advance().Loc;
     Expr *RHS = parseMultiplicative();
-    LHS = Prog->Ctx.createExpr<BinaryExpr>(Op, LHS, RHS, Loc);
+    LHS = Ctx.createExpr<BinaryExpr>(Op, LHS, RHS, Loc);
   }
   return LHS;
 }
@@ -805,7 +795,7 @@ Expr *Parser::parseMultiplicative() {
       Op = BinaryOp::Rem;
     SourceLoc Loc = advance().Loc;
     Expr *RHS = parseUnary();
-    LHS = Prog->Ctx.createExpr<BinaryExpr>(Op, LHS, RHS, Loc);
+    LHS = Ctx.createExpr<BinaryExpr>(Op, LHS, RHS, Loc);
   }
   return LHS;
 }
@@ -822,28 +812,28 @@ Expr *Parser::parseUnary() {
     // Fold negative integer literals into constants (as CIL does), so
     // Const-classifier patterns match them.
     if (auto *IC = dyn_cast<IntConstExpr>(Sub))
-      return Prog->Ctx.createExpr<IntConstExpr>(-IC->Value, Loc);
-    return Prog->Ctx.createExpr<UnaryExpr>(UnaryOp::Neg, Sub, Loc);
+      return Ctx.createExpr<IntConstExpr>(-IC->Value, Loc);
+    return Ctx.createExpr<UnaryExpr>(UnaryOp::Neg, Sub, Loc);
   }
   if (match(TokenKind::Bang)) {
     Expr *Sub = parseUnary();
-    return Prog->Ctx.createExpr<UnaryExpr>(UnaryOp::Not, Sub, Loc);
+    return Ctx.createExpr<UnaryExpr>(UnaryOp::Not, Sub, Loc);
   }
   if (match(TokenKind::Tilde)) {
     Expr *Sub = parseUnary();
-    return Prog->Ctx.createExpr<UnaryExpr>(UnaryOp::BitNot, Sub, Loc);
+    return Ctx.createExpr<UnaryExpr>(UnaryOp::BitNot, Sub, Loc);
   }
   if (match(TokenKind::Star)) {
     Expr *Sub = parseUnary();
-    LValue *LV = Prog->Ctx.createLValue(Sub, Loc);
-    return Prog->Ctx.createExpr<LValReadExpr>(LV, Loc);
+    LValue *LV = Ctx.createLValue(Sub, Loc);
+    return Ctx.createExpr<LValReadExpr>(LV, Loc);
   }
   if (match(TokenKind::Amp)) {
     Expr *Sub = parseUnary();
     LValue *LV = requireLValue(Sub, "after '&'");
     if (!LV)
       return makeErrorExpr(Loc);
-    return Prog->Ctx.createExpr<AddrOfExpr>(LV, Loc);
+    return Ctx.createExpr<AddrOfExpr>(LV, Loc);
   }
   // Cast: '(' type ')' unary.
   if (check(TokenKind::LParen) && atTypeStart(1)) {
@@ -853,7 +843,7 @@ Expr *Parser::parseUnary() {
     Expr *Sub = parseUnary();
     if (!Target)
       return Sub;
-    return Prog->Ctx.createExpr<CastExpr>(Target, Sub, Loc);
+    return Ctx.createExpr<CastExpr>(Target, Sub, Loc);
   }
   return parsePostfix();
 }
@@ -868,9 +858,9 @@ Expr *Parser::parsePostfix() {
       Expr *Index = parseExpr();
       expect(TokenKind::RBracket, "to close index");
       Expr *Addr =
-          Prog->Ctx.createExpr<BinaryExpr>(BinaryOp::Add, E, Index, Loc);
-      LValue *LV = Prog->Ctx.createLValue(Addr, Loc);
-      E = Prog->Ctx.createExpr<LValReadExpr>(LV, Loc);
+          Ctx.createExpr<BinaryExpr>(BinaryOp::Add, E, Index, Loc);
+      LValue *LV = Ctx.createLValue(Addr, Loc);
+      E = Ctx.createExpr<LValReadExpr>(LV, Loc);
       continue;
     }
     if (match(TokenKind::Dot)) {
@@ -878,11 +868,14 @@ Expr *Parser::parsePostfix() {
         error("expected field name after '.'");
         return E;
       }
-      std::string Field = advance().Text;
+      std::string_view Field = Ctx.copyString(advance().Text);
       LValue *LV = requireLValue(E, "before '.'");
       if (!LV)
         return makeErrorExpr(Loc);
-      LV->Fields.push_back(std::move(Field));
+      std::vector<std::string_view> Fields(LV->Fields.begin(),
+                                          LV->Fields.end());
+      Fields.push_back(Field);
+      LV->Fields = Ctx.list(Fields);
       // Reuse the same read expression; its type is recomputed by Sema.
       continue;
     }
@@ -891,9 +884,10 @@ Expr *Parser::parsePostfix() {
         error("expected field name after '->'");
         return E;
       }
-      LValue *LV = Prog->Ctx.createLValue(E, Loc);
-      LV->Fields.push_back(advance().Text);
-      E = Prog->Ctx.createExpr<LValReadExpr>(LV, Loc);
+      LValue *LV = Ctx.createLValue(E, Loc);
+      std::string_view Field = Ctx.copyString(advance().Text);
+      LV->Fields = Ctx.list(&Field, 1);
+      E = Ctx.createExpr<LValReadExpr>(LV, Loc);
       continue;
     }
     break;
@@ -905,19 +899,19 @@ Expr *Parser::parsePrimary() {
   SourceLoc Loc = peek().Loc;
   if (check(TokenKind::IntLiteral)) {
     int64_t V = advance().IntValue;
-    return Prog->Ctx.createExpr<IntConstExpr>(V, Loc);
+    return Ctx.createExpr<IntConstExpr>(V, Loc);
   }
   if (check(TokenKind::CharLiteral)) {
     int64_t V = advance().IntValue;
-    return Prog->Ctx.createExpr<IntConstExpr>(V, Loc);
+    return Ctx.createExpr<IntConstExpr>(V, Loc);
   }
   if (check(TokenKind::StringLiteral)) {
-    std::string S = advance().Text;
-    return Prog->Ctx.createExpr<StrConstExpr>(std::move(S), Loc);
+    std::string_view S = Ctx.copyString(advance().Text);
+    return Ctx.createExpr<StrConstExpr>(S, Loc);
   }
   if (checkKw(Kw::Null)) {
     advance();
-    return Prog->Ctx.createExpr<NullConstExpr>(Loc);
+    return Ctx.createExpr<NullConstExpr>(Loc);
   }
   if (checkKw(Kw::Sizeof)) {
     advance();
@@ -926,29 +920,33 @@ Expr *Parser::parsePrimary() {
     expect(TokenKind::RParen, "to close sizeof");
     if (!Target)
       return makeErrorExpr(Loc);
-    return Prog->Ctx.createExpr<SizeofTypeExpr>(Target, Loc);
+    return Ctx.createExpr<SizeofTypeExpr>(Target, Loc);
   }
   if (check(TokenKind::Identifier)) {
     uint32_t NameId = nameAt();
     const std::string &Name = advance().Text;
     if (check(TokenKind::LParen)) {
       advance();
-      std::vector<Expr *> Args;
+      size_t Open = OpenArgs.size();
       if (!check(TokenKind::RParen)) {
         do {
-          Args.push_back(parseExpr());
+          Expr *Arg = parseExpr();
+          OpenArgs.push_back(Arg);
         } while (match(TokenKind::Comma));
       }
       expect(TokenKind::RParen, "to close call");
-      return Prog->Ctx.createExpr<CallExpr>(Name, std::move(Args), Loc);
+      NodeList<Expr *> Args =
+          Ctx.list(OpenArgs.data() + Open, OpenArgs.size() - Open);
+      OpenArgs.resize(Open);
+      return Ctx.createExpr<CallExpr>(Ctx.copyString(Name), Args, Loc);
     }
     VarDecl *Var = lookupVar(NameId);
     if (!Var) {
       error("use of undeclared identifier '" + Name + "'");
       return makeErrorExpr(Loc);
     }
-    LValue *LV = Prog->Ctx.createLValue(Var, Loc);
-    return Prog->Ctx.createExpr<LValReadExpr>(LV, Loc);
+    LValue *LV = Ctx.createLValue(Var, Loc);
+    return Ctx.createExpr<LValReadExpr>(LV, Loc);
   }
   if (match(TokenKind::LParen)) {
     Expr *E = parseExpr();

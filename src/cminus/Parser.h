@@ -15,8 +15,9 @@
 /// Before parsing, every identifier token is classified once: interned to
 /// a per-parse name id and marked as a keyword or qualifier, so the
 /// grammar compares ids, and scopes and the qualifier set are indexed by
-/// them. Each distinct struct, pointer and qualified type is built once
-/// per parse and shared by every declaration that spells it.
+/// them. Nodes, names and types go into the new Program's ASTContext,
+/// which builds each distinct struct, pointer and qualified type once and
+/// shares it with every declaration that spells it.
 ///
 //===----------------------------------------------------------------------===//
 

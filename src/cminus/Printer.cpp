@@ -10,7 +10,7 @@ using namespace stq::cminus;
 namespace {
 
 /// Escapes a string for emission inside double quotes.
-std::string escapeString(const std::string &S) {
+std::string escapeString(std::string_view S) {
   std::string Out;
   for (char C : S) {
     switch (C) {
@@ -77,13 +77,14 @@ std::string printLValueImpl(const LValue *LV) {
     Out = "*" + printExprPrec(LV->Addr, 7);
   }
   bool First = true;
-  for (const std::string &Field : LV->Fields) {
+  for (std::string_view Field : LV->Fields) {
     if (First && LV->isMem()) {
       // Prefer the arrow form: *e with a field path prints as e->f.
-      Out = printExprPrec(LV->Addr, 7) + "->" + Field;
+      Out = printExprPrec(LV->Addr, 7) + "->";
     } else {
-      Out += "." + Field;
+      Out += ".";
     }
+    Out += Field;
     First = false;
   }
   return Out;
@@ -122,7 +123,8 @@ std::string printExprPrec(const Expr *E, int ParentPrec) {
   }
   case Expr::Kind::Call: {
     auto *Call = cast<CallExpr>(E);
-    std::string Out = Call->CalleeName + "(";
+    std::string Out(Call->CalleeName);
+    Out += "(";
     for (size_t I = 0; I < Call->Args.size(); ++I) {
       if (I)
         Out += ", ";

@@ -5,12 +5,11 @@
 #include "support/Trace.h"
 
 #include <cassert>
-#include <unordered_map>
 
 using namespace stq;
 using namespace stq::cminus;
 
-bool stq::cminus::isBaseAssignable(const TypePtr &Src, const TypePtr &Dst) {
+bool stq::cminus::isBaseAssignable(TypePtr Src, TypePtr Dst) {
   if (Type::equalsIgnoringQuals(Src, Dst))
     return true;
   // char and int interconvert.
@@ -32,9 +31,7 @@ class Sema {
 public:
   Sema(Program &Prog, const std::vector<std::string> &RefQualNames,
        DiagnosticEngine &Diags)
-      : Prog(Prog), RefQuals(RefQualNames), Diags(Diags),
-        CharPtr(Type::getPointer(Type::getChar())),
-        VoidPtr(Type::getPointer(Type::getVoid())) {}
+      : Prog(Prog), Ctx(Prog.Ctx), RefQuals(RefQualNames), Diags(Diags) {}
 
   bool run();
 
@@ -46,35 +43,24 @@ private:
   void checkFunction(FuncDecl *Fn);
   void checkStmt(Stmt *S);
   /// Checks an initialization or assignment of \p RHS into type \p DstTy.
-  void checkAssignable(const TypePtr &DstTy, Expr *RHS, SourceLoc Loc,
+  void checkAssignable(TypePtr DstTy, Expr *RHS, SourceLoc Loc,
                        const char *What);
 
   /// Computes and stores the type of \p E; returns it (never null; falls
-  /// back to int after reporting an error).
+  /// back to int after reporting an error). Every run recomputes, so Sema
+  /// can be re-run after a tool edits declared types.
   TypePtr typeOf(Expr *E);
   TypePtr typeOfLValue(LValue *LV);
   TypePtr typeOfCall(CallExpr *Call);
 
-  /// Strips reference qualifiers from the top level of \p T (r-type rule),
-  /// deciding once per qualified type.
-  TypePtr stripRefQuals(const TypePtr &T) {
-    if (T->quals().empty())
-      return T;
-    auto [It, Inserted] = Stripped.try_emplace(T.get());
-    if (Inserted)
-      It->second = {T, Type::withoutQualsIn(T, RefQuals)};
-    return It->second.second;
-  }
+  /// Strips reference qualifiers from the top level of \p T (r-type rule).
+  TypePtr stripRefQuals(TypePtr T) { return Ctx.withoutQualsIn(T, RefQuals); }
 
   Program &Prog;
+  ASTContext &Ctx;
   const std::vector<std::string> &RefQuals;
   DiagnosticEngine &Diags;
   FuncDecl *CurrentFn = nullptr;
-  /// The r-types of string literals and NULL, shared by every occurrence.
-  TypePtr CharPtr, VoidPtr;
-  /// Qualified type -> (itself, kept alive so its address stays its own;
-  /// its r-type).
-  std::unordered_map<const Type *, std::pair<TypePtr, TypePtr>> Stripped;
 };
 
 } // namespace
@@ -113,7 +99,8 @@ void Sema::checkStmt(Stmt *S) {
   case Stmt::Kind::Decl: {
     VarDecl *Var = cast<DeclStmt>(S)->Var;
     if (Var->DeclaredTy->isVoid()) {
-      error(Var->Loc, "variable '" + Var->Name + "' has void type");
+      error(Var->Loc, "variable '" + std::string(Var->Name) +
+                          "' has void type");
       return;
     }
     if (Var->Init)
@@ -165,14 +152,14 @@ void Sema::checkStmt(Stmt *S) {
     assert(CurrentFn && "return outside function");
     if (Ret->Value) {
       if (CurrentFn->RetTy->isVoid())
-        error(Ret->Loc, "void function '" + CurrentFn->Name +
+        error(Ret->Loc, "void function '" + std::string(CurrentFn->Name) +
                             "' returns a value");
       else
         checkAssignable(CurrentFn->RetTy, Ret->Value, Ret->Loc,
                         "return value");
     } else if (!CurrentFn->RetTy->isVoid()) {
-      error(Ret->Loc,
-            "non-void function '" + CurrentFn->Name + "' returns no value");
+      error(Ret->Loc, "non-void function '" + std::string(CurrentFn->Name) +
+                          "' returns no value");
     }
     return;
   }
@@ -182,7 +169,7 @@ void Sema::checkStmt(Stmt *S) {
   }
 }
 
-void Sema::checkAssignable(const TypePtr &DstTy, Expr *RHS, SourceLoc Loc,
+void Sema::checkAssignable(TypePtr DstTy, Expr *RHS, SourceLoc Loc,
                            const char *What) {
   TypePtr RHSTy = typeOf(RHS);
   if (isa<NullConstExpr>(RHS) && DstTy->isPointer())
@@ -201,9 +188,7 @@ void Sema::checkAssignable(const TypePtr &DstTy, Expr *RHS, SourceLoc Loc,
 }
 
 TypePtr Sema::typeOfLValue(LValue *LV) {
-  if (LV->Ty)
-    return LV->Ty;
-  TypePtr Cur;
+  TypePtr Cur = nullptr;
   if (LV->isVar()) {
     Cur = LV->Var->DeclaredTy;
   } else {
@@ -211,28 +196,29 @@ TypePtr Sema::typeOfLValue(LValue *LV) {
     if (!AddrTy->isPointer()) {
       error(LV->Loc, "cannot dereference non-pointer type '" + AddrTy->str() +
                          "'");
-      Cur = Type::getInt();
+      Cur = Ctx.intTy();
     } else {
       Cur = AddrTy->pointee();
     }
   }
-  for (const std::string &Field : LV->Fields) {
+  for (std::string_view Field : LV->Fields) {
     if (!Cur->isStruct()) {
       error(LV->Loc, "member access on non-struct type '" + Cur->str() + "'");
-      Cur = Type::getInt();
+      Cur = Ctx.intTy();
       break;
     }
     StructDef *Def = Prog.findStruct(Cur->structName());
     if (!Def) {
-      error(LV->Loc, "unknown struct '" + Cur->structName() + "'");
-      Cur = Type::getInt();
+      error(LV->Loc,
+            "unknown struct '" + std::string(Cur->structName()) + "'");
+      Cur = Ctx.intTy();
       break;
     }
     const StructDef::Field *F = Def->findField(Field);
     if (!F) {
-      error(LV->Loc, "struct '" + Def->Name + "' has no field '" + Field +
-                         "'");
-      Cur = Type::getInt();
+      error(LV->Loc, "struct '" + std::string(Def->Name) +
+                         "' has no field '" + std::string(Field) + "'");
+      Cur = Ctx.intTy();
       break;
     }
     Cur = F->Ty;
@@ -252,27 +238,27 @@ TypePtr Sema::typeOfCall(CallExpr *Call) {
         typeOf(Arg);
       if (Call->Args.size() != 1)
         error(Call->Loc, "malloc takes exactly one argument");
-      return VoidPtr;
+      return Ctx.getPointer(Ctx.voidTy());
     }
     if (Call->CalleeName == "free") {
       for (Expr *Arg : Call->Args)
         typeOf(Arg);
       if (Call->Args.size() != 1)
         error(Call->Loc, "free takes exactly one argument");
-      return Type::getVoid();
+      return Ctx.voidTy();
     }
     if (Call->CalleeName == "printf") {
       for (Expr *Arg : Call->Args)
         typeOf(Arg);
       if (Call->Args.empty())
         error(Call->Loc, "printf requires a format string");
-      return Type::getInt();
+      return Ctx.intTy();
     }
-    error(Call->Loc, "call to undeclared function '" + Call->CalleeName +
-                         "'");
+    error(Call->Loc, "call to undeclared function '" +
+                         std::string(Call->CalleeName) + "'");
     for (Expr *Arg : Call->Args)
       typeOf(Arg);
-    return Type::getInt();
+    return Ctx.intTy();
   }
 
   Call->Callee = Callee;
@@ -281,7 +267,8 @@ TypePtr Sema::typeOfCall(CallExpr *Call) {
   size_t NumParams = Callee->Params.size();
   if (Call->Args.size() < NumParams ||
       (Call->Args.size() > NumParams && !Callee->Variadic)) {
-    error(Call->Loc, "wrong number of arguments to '" + Callee->Name +
+    error(Call->Loc, "wrong number of arguments to '" +
+                         std::string(Callee->Name) +
                          "': expected " + std::to_string(NumParams) +
                          (Callee->Variadic ? "+" : "") + ", got " +
                          std::to_string(Call->Args.size()));
@@ -297,18 +284,16 @@ TypePtr Sema::typeOfCall(CallExpr *Call) {
 }
 
 TypePtr Sema::typeOf(Expr *E) {
-  if (E->Ty)
-    return E->Ty;
-  TypePtr Result;
+  TypePtr Result = nullptr;
   switch (E->getKind()) {
   case Expr::Kind::IntConst:
-    Result = Type::getInt();
+    Result = Ctx.intTy();
     break;
   case Expr::Kind::StrConst:
-    Result = CharPtr;
+    Result = Ctx.getPointer(Ctx.charTy());
     break;
   case Expr::Kind::NullConst:
-    Result = VoidPtr;
+    Result = Ctx.getPointer(Ctx.voidTy());
     break;
   case Expr::Kind::LValRead: {
     auto *Read = cast<LValReadExpr>(E);
@@ -321,7 +306,7 @@ TypePtr Sema::typeOf(Expr *E) {
     auto *Addr = cast<AddrOfExpr>(E);
     // Reference qualifiers describe the l-value's address identity, not its
     // contents, so they do not become part of the pointee type.
-    Result = Type::getPointer(stripRefQuals(typeOfLValue(Addr->LV)));
+    Result = Ctx.getPointer(stripRefQuals(typeOfLValue(Addr->LV)));
     break;
   }
   case Expr::Kind::Unary: {
@@ -334,7 +319,7 @@ TypePtr Sema::typeOf(Expr *E) {
       error(E->Loc, std::string("operand of unary '") +
                         unaryOpSpelling(Un->Op) + "' must be arithmetic");
     }
-    Result = Type::getInt();
+    Result = Ctx.intTy();
     break;
   }
   case Expr::Kind::Binary: {
@@ -352,15 +337,15 @@ TypePtr Sema::typeOf(Expr *E) {
                  R->isPointer()) {
         Result = R;
       } else if (L->isArithmetic() && R->isArithmetic()) {
-        Result = Type::getInt();
+        Result = Ctx.intTy();
       } else if (Bin->Op == BinaryOp::Sub && L->isPointer() &&
                  R->isPointer()) {
-        Result = Type::getInt();
+        Result = Ctx.intTy();
       } else {
         error(E->Loc, std::string("invalid operands to '") +
                           binaryOpSpelling(Bin->Op) + "': '" + L->str() +
                           "' and '" + R->str() + "'");
-        Result = Type::getInt();
+        Result = Ctx.intTy();
       }
       break;
     case BinaryOp::Mul:
@@ -369,7 +354,7 @@ TypePtr Sema::typeOf(Expr *E) {
       if (!L->isArithmetic() || !R->isArithmetic())
         error(E->Loc, std::string("invalid operands to '") +
                           binaryOpSpelling(Bin->Op) + "'");
-      Result = Type::getInt();
+      Result = Ctx.intTy();
       break;
     case BinaryOp::Eq:
     case BinaryOp::Ne:
@@ -384,12 +369,12 @@ TypePtr Sema::typeOf(Expr *E) {
       if (!BothArith && !BothPtr && !NullCmp)
         error(E->Loc, std::string("invalid comparison between '") + L->str() +
                           "' and '" + R->str() + "'");
-      Result = Type::getInt();
+      Result = Ctx.intTy();
       break;
     }
     case BinaryOp::LAnd:
     case BinaryOp::LOr:
-      Result = Type::getInt();
+      Result = Ctx.intTy();
       break;
     }
     break;
@@ -397,7 +382,7 @@ TypePtr Sema::typeOf(Expr *E) {
   case Expr::Kind::Cast: {
     auto *Cast_ = cast<CastExpr>(E);
     TypePtr SubTy = typeOf(Cast_->Sub);
-    const TypePtr &D = Cast_->Target;
+    TypePtr D = Cast_->Target;
     bool Ok = (SubTy->isArithmetic() || SubTy->isPointer()) &&
               (D->isArithmetic() || D->isPointer());
     // Identity and qualifier-only casts are always fine.
@@ -411,7 +396,7 @@ TypePtr Sema::typeOf(Expr *E) {
     Result = typeOfCall(cast<CallExpr>(E));
     break;
   case Expr::Kind::SizeofType:
-    Result = Type::getInt();
+    Result = Ctx.intTy();
     break;
   }
   assert(Result && "expression type not computed");

@@ -31,6 +31,9 @@ namespace stq::cminus {
 /// \param RefQualNames the loaded reference-qualifier names (stripped from
 ///        r-types of l-value reads).
 /// \returns true if no errors were reported (phase "sema").
+///
+/// Every run recomputes the type of each expression and l-value it
+/// reaches, so Sema can be re-run after a tool edits declared types.
 bool runSema(Program &Prog, const std::vector<std::string> &RefQualNames,
              DiagnosticEngine &Diags);
 
@@ -38,7 +41,7 @@ bool runSema(Program &Prog, const std::vector<std::string> &RefQualNames,
 /// location of deep-unqualified type \p Dst under the base type system
 /// (identical structure; char/int interchangeable; NULL and void* to any
 /// pointer and back).
-bool isBaseAssignable(const TypePtr &Src, const TypePtr &Dst);
+bool isBaseAssignable(TypePtr Src, TypePtr Dst);
 
 } // namespace stq::cminus
 

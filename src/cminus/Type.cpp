@@ -2,122 +2,133 @@
 
 #include "cminus/Type.h"
 
+#include "cminus/AST.h"
+
 #include <algorithm>
 #include <cassert>
 
 using namespace stq::cminus;
 
-bool Type::hasQual(const std::string &Q) const {
-  return std::binary_search(Quals.begin(), Quals.end(), Q);
+namespace {
+/// The qualifier set of every unqualified type, in every context.
+const std::vector<std::string> NoQuals;
+
+bool sameQuals(TypePtr A, TypePtr B) {
+  return &A->quals() == &B->quals() || A->quals() == B->quals();
+}
+} // namespace
+
+Type::Type(Kind K) : K(K), Quals(&NoQuals) {}
+
+bool Type::hasQual(std::string_view Q) const {
+  return std::binary_search(Quals->begin(), Quals->end(), Q);
 }
 
-TypePtr Type::getVoid() {
-  static TypePtr T(new Type(Kind::Void));
-  return T;
+//===----------------------------------------------------------------------===//
+// Construction (ASTContext)
+//===----------------------------------------------------------------------===//
+
+ASTContext::ASTContext()
+    : Void(newType(Type::Kind::Void)), Int(newType(Type::Kind::Int)),
+      Char(newType(Type::Kind::Char)) {}
+
+Type *ASTContext::newType(Type::Kind K) {
+  return new (Arena.allocate(sizeof(Type), alignof(Type))) Type(K);
 }
 
-TypePtr Type::getInt() {
-  static TypePtr T(new Type(Kind::Int));
-  return T;
+Type *ASTContext::newType(const Type &Copy) {
+  return new (Arena.allocate(sizeof(Type), alignof(Type))) Type(Copy);
 }
 
-TypePtr Type::getChar() {
-  static TypePtr T(new Type(Kind::Char));
-  return T;
-}
-
-TypePtr Type::getPointer(TypePtr Pointee) {
+TypePtr ASTContext::getPointer(TypePtr Pointee) {
   assert(Pointee && "pointer to null type");
-  auto *T = new Type(Kind::Pointer);
-  T->Pointee = std::move(Pointee);
-  return TypePtr(T);
+  TypePtr &Slot = PointerTypes[Pointee];
+  if (!Slot) {
+    Type *T = newType(Type::Kind::Pointer);
+    T->Pointee = Pointee;
+    Slot = T;
+  }
+  return Slot;
 }
 
-TypePtr Type::getStruct(std::string Name) {
-  auto *T = new Type(Kind::Struct);
-  T->StructName = std::move(Name);
-  return TypePtr(T);
+TypePtr ASTContext::getStruct(std::string_view Name) {
+  auto It = StructTypes.find(Name);
+  if (It != StructTypes.end())
+    return It->second;
+  Type *T = newType(Type::Kind::Struct);
+  T->StructName = copyString(Name);
+  StructTypes.emplace(T->StructName, T);
+  return T;
 }
 
-TypePtr Type::getFunction(TypePtr Ret, std::vector<TypePtr> Params,
-                          bool Variadic) {
-  auto *T = new Type(Kind::Function);
-  T->Ret = std::move(Ret);
-  T->Params = std::move(Params);
+TypePtr ASTContext::getFunction(TypePtr Ret,
+                                const std::vector<TypePtr> &Params,
+                                bool Variadic) {
+  Type *T = newType(Type::Kind::Function);
+  T->Ret = Ret;
+  T->Params = list(Params);
   T->Variadic = Variadic;
-  return TypePtr(T);
+  return T;
 }
 
-static void normalizeQuals(std::vector<std::string> &Quals) {
-  std::sort(Quals.begin(), Quals.end());
-  Quals.erase(std::unique(Quals.begin(), Quals.end()), Quals.end());
-}
-
-TypePtr Type::withQual(const TypePtr &T, const std::string &Qual) {
+TypePtr ASTContext::withQual(TypePtr T, std::string_view Qual) {
   if (T->hasQual(Qual))
     return T;
-  std::vector<std::string> Quals = T->Quals;
-  Quals.push_back(Qual);
-  return withQuals(T, std::move(Quals));
+  auto It = AddedQual.find({T, Qual});
+  if (It != AddedQual.end())
+    return It->second;
+  std::vector<std::string> Quals = T->quals();
+  Quals.emplace_back(Qual);
+  TypePtr R = withQuals(T, std::move(Quals));
+  // Key the entry by the interned copy of the name, which R's set holds.
+  const std::vector<std::string> &Interned = R->quals();
+  auto Name = std::lower_bound(Interned.begin(), Interned.end(), Qual);
+  AddedQual.emplace(std::make_pair(T, std::string_view(*Name)), R);
+  return R;
 }
 
-TypePtr Type::withQuals(const TypePtr &T, std::vector<std::string> Quals) {
-  normalizeQuals(Quals);
-  if (Quals == T->Quals)
+TypePtr ASTContext::withQuals(TypePtr T, std::vector<std::string> Quals) {
+  std::sort(Quals.begin(), Quals.end());
+  Quals.erase(std::unique(Quals.begin(), Quals.end()), Quals.end());
+  if (Quals == T->quals())
     return T;
-  const TypePtr &Base = T->Quals.empty() ? T : T->Unqualified;
+  TypePtr Base = Type::withoutQuals(T);
   if (Quals.empty())
     return Base;
-  auto *N = new Type(*Base);
-  N->Quals = std::move(Quals);
-  N->Unqualified = Base;
-  return TypePtr(N);
+  const std::vector<std::string> *Set =
+      &*QualSets.insert(std::move(Quals)).first;
+  TypePtr &Slot = QualifiedTypes[{Base, Set}];
+  if (!Slot) {
+    Type *N = newType(*Base);
+    N->Quals = Set;
+    N->Unqualified = Base;
+    Slot = N;
+  }
+  return Slot;
 }
 
-TypePtr Type::withoutQuals(const TypePtr &T) {
-  return T->Quals.empty() ? T : T->Unqualified;
-}
-
-TypePtr Type::withoutQualsIn(const TypePtr &T,
-                             const std::vector<std::string> &Drop) {
+TypePtr ASTContext::withoutQualsIn(TypePtr T,
+                                   const std::vector<std::string> &Drop) {
   auto Dropped = [&](const std::string &Q) {
     return std::find(Drop.begin(), Drop.end(), Q) != Drop.end();
   };
-  if (std::none_of(T->Quals.begin(), T->Quals.end(), Dropped))
+  if (std::none_of(T->quals().begin(), T->quals().end(), Dropped))
     return T;
   std::vector<std::string> Kept;
-  for (const std::string &Q : T->Quals)
+  for (const std::string &Q : T->quals())
     if (!Dropped(Q))
       Kept.push_back(Q);
   return withQuals(T, std::move(Kept));
 }
 
-TypePtr Type::deepUnqualified(const TypePtr &T) {
-  TypePtr Stripped = withoutQuals(T);
-  switch (T->getKind()) {
-  case Kind::Pointer: {
-    TypePtr Pointee = deepUnqualified(T->pointee());
-    if (Pointee.get() == T->pointee().get())
-      return Stripped;
-    return getPointer(std::move(Pointee));
-  }
-  case Kind::Function: {
-    std::vector<TypePtr> Params;
-    Params.reserve(T->paramTypes().size());
-    for (const TypePtr &P : T->paramTypes())
-      Params.push_back(deepUnqualified(P));
-    return getFunction(deepUnqualified(T->returnType()), std::move(Params),
-                       T->isVariadic());
-  }
-  default:
-    return Stripped;
-  }
-}
+//===----------------------------------------------------------------------===//
+// Comparison and rendering
+//===----------------------------------------------------------------------===//
 
-bool Type::equals(const TypePtr &A, const TypePtr &B) {
-  if (A.get() == B.get())
+bool Type::equals(TypePtr A, TypePtr B) {
+  if (A == B)
     return true;
-  if (A->K != B->K || A->Quals != B->Quals)
+  if (A->K != B->K || !sameQuals(A, B))
     return false;
   switch (A->K) {
   case Kind::Void:
@@ -142,8 +153,8 @@ bool Type::equals(const TypePtr &A, const TypePtr &B) {
   return false;
 }
 
-bool Type::equalsIgnoringQuals(const TypePtr &A, const TypePtr &B) {
-  if (A.get() == B.get())
+bool Type::equalsIgnoringQuals(TypePtr A, TypePtr B) {
+  if (A == B)
     return true;
   if (A->K != B->K)
     return false;
@@ -170,16 +181,16 @@ bool Type::equalsIgnoringQuals(const TypePtr &A, const TypePtr &B) {
   return false;
 }
 
-bool Type::equalsIgnoringTopQuals(const TypePtr &A, const TypePtr &B) {
+bool Type::equalsIgnoringTopQuals(TypePtr A, TypePtr B) {
   return equals(withoutQuals(A), withoutQuals(B));
 }
 
-bool Type::isSubtypeOf(const TypePtr &A, const TypePtr &B) {
+bool Type::isSubtypeOf(TypePtr A, TypePtr B) {
   if (!equalsIgnoringTopQuals(A, B))
     return false;
   // A's qualifier set must include B's (tau q <= tau, transitively).
-  return std::includes(A->Quals.begin(), A->Quals.end(), B->Quals.begin(),
-                       B->Quals.end());
+  return std::includes(A->Quals->begin(), A->Quals->end(), B->Quals->begin(),
+                       B->Quals->end());
 }
 
 std::string Type::str() const {
@@ -195,7 +206,8 @@ std::string Type::str() const {
     Out = "char";
     break;
   case Kind::Struct:
-    Out = "struct " + StructName;
+    Out = "struct ";
+    Out += StructName;
     break;
   case Kind::Pointer:
     Out = Pointee->str() + "*";
@@ -213,7 +225,7 @@ std::string Type::str() const {
     break;
   }
   }
-  for (const std::string &Q : Quals) {
+  for (const std::string &Q : *Quals) {
     Out += " ";
     Out += Q;
   }

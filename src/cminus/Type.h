@@ -13,31 +13,34 @@
 /// pointer to int. Qualifier order is irrelevant (rule SubQualReorder), so
 /// the set is kept sorted and deduplicated.
 ///
-/// Types are immutable and shared. The primitives are process-wide
-/// singletons. A qualified node remembers the unqualified node it was
-/// built from, so dropping every top-level qualifier, or dropping names
-/// the node does not carry, returns an existing node instead of a copy.
-/// The parser builds each distinct qualified or pointer type once per
-/// parse and hands the same node to every declaration that spells it;
-/// code that needs a variant asks a factory for it and never edits a
-/// node in place.
+/// Types are immutable and belong to one translation unit: the
+/// ASTContext of the Program that uses them allocates them in its arena
+/// and frees them with it, so a TypePtr is a plain pointer and no
+/// reference count is shared between threads checking different TUs.
+/// The context builds each distinct type once: its own int, char and
+/// void, one pointer node per pointee, one struct node per tag, and one
+/// node per (unqualified type, qualifier set). A qualified node remembers
+/// the unqualified node it was built from, so dropping every top-level
+/// qualifier returns an existing node. Code that needs a variant asks the
+/// context (ASTContext in AST.h) for it and never edits a node in place.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef STQ_CMINUS_TYPE_H
 #define STQ_CMINUS_TYPE_H
 
-#include <memory>
+#include "cminus/Arena.h"
+
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace stq::cminus {
 
 class Type;
-using TypePtr = std::shared_ptr<const Type>;
+using TypePtr = const Type *;
 
-/// An immutable, structurally compared type. Construct via the static
-/// factories; share freely.
+/// An immutable, structurally compared type, built by an ASTContext.
 class Type {
 public:
   enum class Kind { Void, Int, Char, Pointer, Struct, Function };
@@ -45,8 +48,8 @@ public:
   Kind getKind() const { return K; }
 
   /// Top-level qualifier names, sorted and deduplicated.
-  const std::vector<std::string> &quals() const { return Quals; }
-  bool hasQual(const std::string &Q) const;
+  const std::vector<std::string> &quals() const { return *Quals; }
+  bool hasQual(std::string_view Q) const;
 
   bool isVoid() const { return K == Kind::Void; }
   bool isInt() const { return K == Kind::Int; }
@@ -57,73 +60,53 @@ public:
   bool isFunction() const { return K == Kind::Function; }
 
   /// Pointee type; only valid for pointers.
-  const TypePtr &pointee() const { return Pointee; }
+  TypePtr pointee() const { return Pointee; }
   /// Struct tag; only valid for struct types.
-  const std::string &structName() const { return StructName; }
+  std::string_view structName() const { return StructName; }
   /// Return type; only valid for function types.
-  const TypePtr &returnType() const { return Ret; }
+  TypePtr returnType() const { return Ret; }
   /// Parameter types; only valid for function types.
-  const std::vector<TypePtr> &paramTypes() const { return Params; }
+  const NodeList<TypePtr> &paramTypes() const { return Params; }
   bool isVariadic() const { return Variadic; }
 
-  // Factories.
-  static TypePtr getVoid();
-  static TypePtr getInt();
-  static TypePtr getChar();
-  static TypePtr getPointer(TypePtr Pointee);
-  static TypePtr getStruct(std::string Name);
-  static TypePtr getFunction(TypePtr Ret, std::vector<TypePtr> Params,
-                             bool Variadic);
-
-  /// Returns this type with \p Qual added to the top-level qualifier set.
-  static TypePtr withQual(const TypePtr &T, const std::string &Qual);
-  /// Returns this type with the given top-level qualifier set (replacing the
-  /// existing one).
-  static TypePtr withQuals(const TypePtr &T, std::vector<std::string> Quals);
-  /// Returns this type with an empty top-level qualifier set: \p T itself
-  /// when it has none, else the node it was qualified from.
-  static TypePtr withoutQuals(const TypePtr &T);
-  /// Returns this type with every qualifier in \p Drop removed from the
-  /// top-level set (used to strip reference qualifiers from r-types);
-  /// \p T itself when it carries none of them.
-  static TypePtr withoutQualsIn(const TypePtr &T,
-                                const std::vector<std::string> &Drop);
-  /// Returns this type with every qualifier removed at every level; the
-  /// base type system compares these, leaving all qualifier reasoning to
-  /// the extensible checker.
-  static TypePtr deepUnqualified(const TypePtr &T);
+  /// Returns \p T with an empty top-level qualifier set: \p T itself when
+  /// it has none, else the node it was qualified from.
+  static TypePtr withoutQuals(TypePtr T) {
+    return T->Unqualified ? T->Unqualified : T;
+  }
 
   /// Structural equality including qualifier sets at every level.
-  static bool equals(const TypePtr &A, const TypePtr &B);
-  /// Structural equality ignoring qualifiers at every level: equals() on
-  /// the deepUnqualified() forms, without building them.
-  static bool equalsIgnoringQuals(const TypePtr &A, const TypePtr &B);
+  static bool equals(TypePtr A, TypePtr B);
+  /// Structural equality ignoring qualifiers at every level.
+  static bool equalsIgnoringQuals(TypePtr A, TypePtr B);
   /// Structural equality ignoring top-level qualifiers only; nested
   /// qualifier sets must still match (no subtyping under pointers).
-  static bool equalsIgnoringTopQuals(const TypePtr &A, const TypePtr &B);
+  static bool equalsIgnoringTopQuals(TypePtr A, TypePtr B);
 
   /// The paper's subtype relation for value-qualified types: A <= B iff the
   /// types agree structurally, A's top-level qualifier set is a superset of
   /// B's, and all nested qualifier sets are equal. (Reference qualifiers are
   /// stripped from r-types before this is consulted, so top-level qualifiers
   /// here are value qualifiers.)
-  static bool isSubtypeOf(const TypePtr &A, const TypePtr &B);
+  static bool isSubtypeOf(TypePtr A, TypePtr B);
 
   /// Renders in C-minus postfix syntax, e.g. "int pos*" or "char* untainted".
   std::string str() const;
 
 private:
-  explicit Type(Kind K) : K(K) {}
+  friend class ASTContext;
+  explicit Type(Kind K);
 
   Kind K;
-  std::vector<std::string> Quals;
-  /// The same node with no top-level qualifiers; null when Quals is empty.
-  TypePtr Unqualified;
-  TypePtr Pointee;
-  std::string StructName;
-  TypePtr Ret;
-  std::vector<TypePtr> Params;
   bool Variadic = false;
+  /// Interned by the owning context; never null.
+  const std::vector<std::string> *Quals;
+  /// The same node with no top-level qualifiers; null when Quals is empty.
+  TypePtr Unqualified = nullptr;
+  TypePtr Pointee = nullptr;
+  std::string_view StructName;
+  TypePtr Ret = nullptr;
+  NodeList<TypePtr> Params;
 };
 
 } // namespace stq::cminus

@@ -49,17 +49,17 @@ private:
   }
   void constrainShapes(const QShape &Src, const QShape &Dst, SourceLoc Loc);
 
-  unsigned pointerDepth(const TypePtr &Ty) {
+  unsigned pointerDepth(TypePtr Ty) {
     TypePtr Bare = Type::withoutQuals(Ty);
     return Bare->isPointer() ? 1 + pointerDepth(Bare->pointee()) : 0;
   }
 
   /// The qualifier shape for a declared type, reading explicit Top/Bottom
   /// annotations at each level.
-  QShape shapeForType(const TypePtr &Ty, SourceLoc Loc,
+  QShape shapeForType(TypePtr Ty, SourceLoc Loc,
                       const std::string &Desc);
   QShape shapeForVar(const VarDecl *Var);
-  QShape shapeForField(const StructDef *Def, const std::string &Field);
+  QShape shapeForField(const StructDef *Def, std::string_view Field);
   QShape shapeForReturn(const FuncDecl *Fn);
   QShape freshShape(unsigned Levels, SourceLoc Loc, const std::string &Desc);
 
@@ -84,7 +84,7 @@ private:
   std::vector<std::string> VarDesc;
 
   std::map<const VarDecl *, QShape> VarShapes;
-  std::map<std::pair<const StructDef *, std::string>, QShape> FieldShapes;
+  std::map<std::pair<const StructDef *, std::string_view>, QShape> FieldShapes;
   std::map<const FuncDecl *, QShape> ReturnShapes;
 };
 
@@ -100,7 +100,7 @@ QShape InferenceEngine::freshShape(unsigned Levels, SourceLoc Loc,
   return Out;
 }
 
-QShape InferenceEngine::shapeForType(const TypePtr &Ty, SourceLoc Loc,
+QShape InferenceEngine::shapeForType(TypePtr Ty, SourceLoc Loc,
                                      const std::string &Desc) {
   QShape Out;
   TypePtr Cur = Ty;
@@ -129,19 +129,21 @@ QShape InferenceEngine::shapeForVar(const VarDecl *Var) {
   auto Found = VarShapes.find(Var);
   if (Found != VarShapes.end())
     return Found->second;
-  QShape S = shapeForType(Var->DeclaredTy, Var->Loc, "var " + Var->Name);
+  QShape S =
+      shapeForType(Var->DeclaredTy, Var->Loc, "var " + std::string(Var->Name));
   VarShapes.emplace(Var, S);
   return S;
 }
 
 QShape InferenceEngine::shapeForField(const StructDef *Def,
-                                      const std::string &Field) {
+                                      std::string_view Field) {
   auto Key = std::make_pair(Def, Field);
   auto Found = FieldShapes.find(Key);
   if (Found != FieldShapes.end())
     return Found->second;
   const StructDef::Field *F = Def->findField(Field);
-  QShape S = F ? shapeForType(F->Ty, Def->Loc, Def->Name + "." + Field)
+  QShape S = F ? shapeForType(F->Ty, Def->Loc,
+                              std::string(Def->Name) + "." + std::string(Field))
                : freshShape(0, Def->Loc, "unknown field");
   FieldShapes.emplace(Key, S);
   return S;
@@ -151,7 +153,8 @@ QShape InferenceEngine::shapeForReturn(const FuncDecl *Fn) {
   auto Found = ReturnShapes.find(Fn);
   if (Found != ReturnShapes.end())
     return Found->second;
-  QShape S = shapeForType(Fn->RetTy, Fn->Loc, "return of " + Fn->Name);
+  QShape S = shapeForType(Fn->RetTy, Fn->Loc,
+                          "return of " + std::string(Fn->Name));
   ReturnShapes.emplace(Fn, S);
   return S;
 }
@@ -185,7 +188,7 @@ QShape InferenceEngine::shapeOfLValue(const LValue *LV) {
                               : (LV->Addr->Ty && LV->Addr->Ty->isPointer()
                                      ? LV->Addr->Ty->pointee()
                                      : nullptr);
-  for (const std::string &Field : LV->Fields) {
+  for (std::string_view Field : LV->Fields) {
     if (!CurTy)
       return freshShape(0, LV->Loc, "field");
     TypePtr Bare = Type::withoutQuals(CurTy);
@@ -214,7 +217,7 @@ QShape InferenceEngine::shapeOfCall(const CallExpr *Call) {
   for (const Expr *Arg : Call->Args)
     shapeOfExpr(Arg);
   unsigned Levels = Call->Ty ? pointerDepth(Call->Ty) : 0;
-  return freshShape(Levels, Call->Loc, "call " + Call->CalleeName);
+  return freshShape(Levels, Call->Loc, "call " + std::string(Call->CalleeName));
 }
 
 QShape InferenceEngine::shapeOfExpr(const Expr *E) {

@@ -57,7 +57,7 @@ const std::string &fileOfLine(const frontend::TUnit &TU, unsigned Line) {
 
 /// Collects every qualifier written anywhere in \p Ty (top level and
 /// through pointees), tagged with its depth so keys stay unambiguous.
-void collectQuals(const cminus::TypePtr &Ty, unsigned Depth,
+void collectQuals(cminus::TypePtr Ty, unsigned Depth,
                   std::vector<std::string> &Out) {
   if (!Ty)
     return;
@@ -67,7 +67,7 @@ void collectQuals(const cminus::TypePtr &Ty, unsigned Depth,
     collectQuals(Ty->pointee(), Depth + 1, Out);
 }
 
-std::vector<std::string> qualsOf(const cminus::TypePtr &Ty) {
+std::vector<std::string> qualsOf(cminus::TypePtr Ty) {
   std::vector<std::string> Out;
   collectQuals(Ty, 0, Out);
   return Out;
@@ -78,7 +78,7 @@ std::vector<std::string> qualsOf(const cminus::TypePtr &Ty) {
 /// annotation, exactly as one edit wrote them).
 struct Counter {
   std::set<std::string> Seen;
-  std::set<std::string> SinkFns;
+  std::set<std::string, std::less<>> SinkFns;
   unsigned Annotations = 0;
   unsigned Casts = 0;
   unsigned PrintfCalls = 0;
@@ -154,7 +154,7 @@ void Counter::countStmt(const cminus::Stmt *S, const std::string &Fn) {
   case Stmt::Kind::Decl: {
     const cminus::VarDecl *V = static_cast<const cminus::DeclStmt *>(S)->Var;
     for (const std::string &Q : qualsOf(V->DeclaredTy))
-      addKey("local|" + Fn + "|" + V->Name + "|" + Q);
+      addKey("local|" + Fn + "|" + std::string(V->Name) + "|" + Q);
     countExpr(V->Init);
     return;
   }
@@ -201,7 +201,7 @@ void Counter::countStmt(const cminus::Stmt *S, const std::string &Fn) {
 /// to the printf family Table 2 counts call sites of.
 bool isUntaintedFormatFn(const cminus::FuncDecl *F) {
   for (const cminus::VarDecl *P : F->Params) {
-    const cminus::TypePtr &Ty = P->DeclaredTy;
+    cminus::TypePtr Ty = P->DeclaredTy;
     if (Ty && Ty->isPointer() && Ty->pointee() && Ty->pointee()->isChar() &&
         Ty->hasQual("untainted"))
       return true;
@@ -300,7 +300,7 @@ EvalRow stq::eval::evalProgram(const ProgramSpec &Spec,
       continue;
     for (const cminus::FuncDecl *F : TU.Program->Functions)
       if (isUntaintedFormatFn(F))
-        Cnt.SinkFns.insert(F->Name);
+        Cnt.SinkFns.emplace(F->Name);
   }
   for (const frontend::TUnit &TU : TUs) {
     if (!TU.Program)
@@ -310,24 +310,26 @@ EvalRow stq::eval::evalProgram(const ProgramSpec &Spec,
         continue;
       for (const cminus::StructDef::Field &F : SD->Fields)
         for (const std::string &Q : qualsOf(F.Ty))
-          Cnt.addKey("struct|" + SD->Name + "|" + F.Name + "|" + Q);
+          Cnt.addKey("struct|" + std::string(SD->Name) + "|" +
+                     std::string(F.Name) + "|" + Q);
     }
     for (const cminus::VarDecl *G : TU.Program->Globals) {
       if (isLibFile(fileOfLine(TU, G->Loc.Line)))
         continue;
       for (const std::string &Q : qualsOf(G->DeclaredTy))
-        Cnt.addKey("global|" + G->Name + "|" + Q);
+        Cnt.addKey("global|" + std::string(G->Name) + "|" + Q);
     }
     for (const cminus::FuncDecl *F : TU.Program->Functions) {
       if (isLibFile(fileOfLine(TU, F->Loc.Line)))
         continue;
       for (size_t I = 0; I < F->Params.size(); ++I)
         for (const std::string &Q : qualsOf(F->Params[I]->DeclaredTy))
-          Cnt.addKey("param|" + F->Name + "|" + std::to_string(I) + "|" + Q);
+          Cnt.addKey("param|" + std::string(F->Name) + "|" +
+                     std::to_string(I) + "|" + Q);
       for (const std::string &Q : qualsOf(F->RetTy))
-        Cnt.addKey("ret|" + F->Name + "|" + Q);
+        Cnt.addKey("ret|" + std::string(F->Name) + "|" + Q);
       if (F->Body)
-        Cnt.countStmt(F->Body, F->Name);
+        Cnt.countStmt(F->Body, std::string(F->Name));
     }
   }
   Row.Annotations = Cnt.Annotations;

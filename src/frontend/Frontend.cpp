@@ -97,25 +97,35 @@ void stq::frontend::remapDiagnostics(std::vector<Diagnostic> &Diags,
 
 namespace {
 
+/// A function's qualified signature in Type::str()'s function syntax,
+/// e.g. "int pos (char* untainted, ...)".
 std::string funcSig(const cminus::FuncDecl &F) {
-  std::string Sig = F.type()->str();
+  std::string Sig = F.RetTy->str() + " (";
+  for (size_t I = 0; I < F.Params.size(); ++I) {
+    if (I)
+      Sig += ", ";
+    Sig += F.Params[I]->DeclaredTy->str();
+  }
   if (F.Variadic)
-    Sig += ", ...";
-  return Sig;
+    Sig += F.Params.empty() ? "..." : ", ...";
+  return Sig + ")";
 }
 
 std::string structSig(const cminus::StructDef &S) {
   std::string Sig = "{";
-  for (const auto &F : S.Fields)
-    Sig += " " + F.Ty->str() + " " + F.Name + ";";
+  for (const auto &F : S.Fields) {
+    Sig += " " + F.Ty->str() + " ";
+    Sig += F.Name;
+    Sig += ";";
+  }
   return Sig + " }";
 }
 
 /// A symbol of \p U at \p Loc, attributed to file + physical line through
 /// the TU's line map (the TU name and post-expansion location otherwise).
-LinkSymbol symbol(const TUnit &U, const std::string &Name, std::string Sig,
+LinkSymbol symbol(const TUnit &U, std::string_view Name, std::string Sig,
                   SourceLoc Loc, bool Defined) {
-  LinkSymbol Sym{Name, std::move(Sig), U.Name, Loc, Defined};
+  LinkSymbol Sym{std::string(Name), std::move(Sig), U.Name, Loc, Defined};
   if (const pp::LineInfo *Info = U.Pp.Map.info(Loc.Line)) {
     Sym.File = U.Pp.Map.file(*Info);
     Sym.Loc = SourceLoc(Info->PhysLine, Loc.Col);

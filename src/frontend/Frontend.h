@@ -97,8 +97,8 @@ void remapDiagnostics(std::vector<Diagnostic> &Diags, size_t From,
 /// One symbol a TU contributes to the link.
 struct LinkSymbol {
   std::string Name;
-  /// The full qualified signature: a function's type (", ..." when
-  /// variadic), a global's declared type, or a struct's field list.
+  /// The full qualified signature: a function's return and parameter
+  /// types, a global's declared type, or a struct's field list.
   std::string Sig;
   /// The declaration's user-facing position: file and physical line via
   /// the TU's line map, or the TU name and post-expansion location when

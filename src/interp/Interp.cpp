@@ -78,14 +78,14 @@ private:
   }
 
   // Memory.
-  unsigned sizeOfType(const TypePtr &Ty);
-  Value initialValueFor(const TypePtr &Ty);
-  uint32_t allocBlockForType(const TypePtr &Ty, bool IsHeap);
-  void initBlockCells(MemBlock &Block, const TypePtr &Ty, unsigned Base);
+  unsigned sizeOfType(TypePtr Ty);
+  Value initialValueFor(TypePtr Ty);
+  uint32_t allocBlockForType(TypePtr Ty, bool IsHeap);
+  void initBlockCells(MemBlock &Block, TypePtr Ty, unsigned Base);
   uint32_t allocRawBlock(unsigned Cells, bool IsHeap);
   Value readLoc(Location Loc, SourceLoc At);
   void writeLoc(Location Loc, Value V, SourceLoc At);
-  int64_t fieldOffset(const TypePtr &StructTy, const std::string &Field,
+  int64_t fieldOffset(TypePtr StructTy, std::string_view Field,
                       TypePtr &FieldTyOut, SourceLoc At);
 
   // Evaluation.
@@ -105,8 +105,8 @@ private:
   // Execution.
   Flow execStmt(const Stmt *S, Frame &F, Value &RetVal);
   void execAssignTo(Location Loc, const Expr *RHS, Frame &F, SourceLoc At,
-                    const TypePtr &AuditTy = nullptr);
-  void auditStore(const TypePtr &DeclTy, const Value &V, SourceLoc At);
+                    TypePtr AuditTy = nullptr);
+  void auditStore(TypePtr DeclTy, const Value &V, SourceLoc At);
 
   const Program &Prog;
   const qual::QualifierSet &Quals;
@@ -126,7 +126,7 @@ private:
 // Memory
 //===----------------------------------------------------------------------===//
 
-unsigned Interpreter::sizeOfType(const TypePtr &Ty) {
+unsigned Interpreter::sizeOfType(TypePtr Ty) {
   TypePtr Bare = Type::withoutQuals(Ty);
   if (Bare->isStruct()) {
     const StructDef *Def = Prog.findStruct(Bare->structName());
@@ -140,7 +140,7 @@ unsigned Interpreter::sizeOfType(const TypePtr &Ty) {
   return 1;
 }
 
-Value Interpreter::initialValueFor(const TypePtr &Ty) {
+Value Interpreter::initialValueFor(TypePtr Ty) {
   TypePtr Bare = Type::withoutQuals(Ty);
   if (Bare->isPointer())
     return Value::makeNull();
@@ -155,7 +155,7 @@ uint32_t Interpreter::allocRawBlock(unsigned Cells, bool IsHeap) {
   return static_cast<uint32_t>(Blocks.size() - 1);
 }
 
-void Interpreter::initBlockCells(MemBlock &Block, const TypePtr &Ty,
+void Interpreter::initBlockCells(MemBlock &Block, TypePtr Ty,
                                  unsigned Base) {
   TypePtr Bare = Type::withoutQuals(Ty);
   if (Bare->isStruct()) {
@@ -173,7 +173,7 @@ void Interpreter::initBlockCells(MemBlock &Block, const TypePtr &Ty,
     Block.Cells[Base] = initialValueFor(Ty);
 }
 
-uint32_t Interpreter::allocBlockForType(const TypePtr &Ty, bool IsHeap) {
+uint32_t Interpreter::allocBlockForType(TypePtr Ty, bool IsHeap) {
   uint32_t Id = allocRawBlock(sizeOfType(Ty), IsHeap);
   initBlockCells(Blocks[Id], Ty, 0);
   return Id;
@@ -213,8 +213,8 @@ void Interpreter::writeLoc(Location Loc, Value V, SourceLoc At) {
   B.Cells[Loc.Off] = V;
 }
 
-int64_t Interpreter::fieldOffset(const TypePtr &StructTy,
-                                 const std::string &Field,
+int64_t Interpreter::fieldOffset(TypePtr StructTy,
+                                 std::string_view Field,
                                  TypePtr &FieldTyOut, SourceLoc At) {
   TypePtr Bare = Type::withoutQuals(StructTy);
   if (!Bare->isStruct()) {
@@ -223,7 +223,7 @@ int64_t Interpreter::fieldOffset(const TypePtr &StructTy,
   }
   const StructDef *Def = Prog.findStruct(Bare->structName());
   if (!Def) {
-    trap(At, "unknown struct '" + Bare->structName() + "'");
+    trap(At, "unknown struct '" + std::string(Bare->structName()) + "'");
     return 0;
   }
   int64_t Off = 0;
@@ -234,7 +234,8 @@ int64_t Interpreter::fieldOffset(const TypePtr &StructTy,
     }
     Off += sizeOfType(Fd.Ty);
   }
-  trap(At, "struct '" + Def->Name + "' has no field '" + Field + "'");
+  trap(At, "struct '" + std::string(Def->Name) + "' has no field '" +
+               std::string(Field) + "'");
   return 0;
 }
 
@@ -246,7 +247,7 @@ std::optional<Location> Interpreter::evalLValue(const LValue *LV, Frame &F) {
   if (!spendFuel())
     return std::nullopt;
   Location Loc;
-  TypePtr CurTy;
+  TypePtr CurTy = nullptr;
   if (LV->isVar()) {
     auto Local = F.find(LV->Var);
     if (Local != F.end()) {
@@ -254,7 +255,7 @@ std::optional<Location> Interpreter::evalLValue(const LValue *LV, Frame &F) {
     } else {
       auto Glob = Globals.find(LV->Var);
       if (Glob == Globals.end()) {
-        trap(LV->Loc, "unbound variable '" + LV->Var->Name + "'");
+        trap(LV->Loc, "unbound variable '" + std::string(LV->Var->Name) + "'");
         return std::nullopt;
       }
       Loc.Block = Glob->second;
@@ -277,10 +278,10 @@ std::optional<Location> Interpreter::evalLValue(const LValue *LV, Frame &F) {
     Loc.Off = Addr.Off;
     TypePtr AddrTy = LV->Addr->Ty;
     CurTy = (AddrTy && AddrTy->isPointer()) ? AddrTy->pointee()
-                                            : Type::getInt();
+                                            : Prog.Ctx.intTy();
   }
-  for (const std::string &Field : LV->Fields) {
-    TypePtr FieldTy;
+  for (std::string_view Field : LV->Fields) {
+    TypePtr FieldTy = nullptr;
     Loc.Off += fieldOffset(CurTy, Field, FieldTy, LV->Loc);
     if (Halted)
       return std::nullopt;
@@ -585,7 +586,8 @@ Value Interpreter::evalCall(const CallExpr *Call, Frame &F) {
       (Fn && Fn->Variadic && !Fn->Params.empty() &&
        Type::withoutQuals(Fn->Params[0]->DeclaredTy)->isPointer()))
     return doPrintf(Call, Args);
-  trap(Call->Loc, "call to undefined function '" + Call->CalleeName + "'");
+  trap(Call->Loc, "call to undefined function '" +
+                      std::string(Call->CalleeName) + "'");
   return Value::makeInt(0);
 }
 
@@ -623,7 +625,7 @@ Value Interpreter::callFunction(const FuncDecl *Fn,
 //===----------------------------------------------------------------------===//
 
 void Interpreter::execAssignTo(Location Loc, const Expr *RHS, Frame &F,
-                               SourceLoc At, const TypePtr &AuditTy) {
+                               SourceLoc At, TypePtr AuditTy) {
   Value V = evalExpr(RHS, F);
   if (Halted)
     return;
@@ -632,7 +634,7 @@ void Interpreter::execAssignTo(Location Loc, const Expr *RHS, Frame &F,
     auditStore(AuditTy, V, At);
 }
 
-void Interpreter::auditStore(const TypePtr &DeclTy, const Value &V,
+void Interpreter::auditStore(TypePtr DeclTy, const Value &V,
                              SourceLoc At) {
   if (!Options.AuditQualifiedStores || !DeclTy)
     return;

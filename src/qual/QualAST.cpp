@@ -23,7 +23,7 @@ const char *stq::qual::classifierName(Classifier C) {
   return "?";
 }
 
-bool TypePattern::matches(const TypePtr &Ty) const {
+bool TypePattern::matches(TypePtr Ty) const {
   TypePtr Bare = Type::withoutQuals(Ty);
   switch (K) {
   case Kind::Any:

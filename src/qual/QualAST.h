@@ -51,7 +51,7 @@ struct TypePattern {
   }
 
   /// Does the concrete type \p Ty match this pattern (qualifiers ignored)?
-  bool matches(const cminus::TypePtr &Ty) const;
+  bool matches(cminus::TypePtr Ty) const;
 
   std::string str() const;
 };

@@ -108,7 +108,7 @@ private:
   // Module side tables
   //===--------------------------------------------------------------------===
 
-  unsigned sizeOfType(const TypePtr &Ty) {
+  unsigned sizeOfType(TypePtr Ty) {
     TypePtr Bare = Type::withoutQuals(Ty);
     if (Bare->isStruct()) {
       const StructDef *Def = Prog.findStruct(Bare->structName());
@@ -122,14 +122,14 @@ private:
     return 1;
   }
 
-  Value initialValueFor(const TypePtr &Ty) {
+  Value initialValueFor(TypePtr Ty) {
     TypePtr Bare = Type::withoutQuals(Ty);
     if (Bare->isPointer())
       return Value::makeNull();
     return Value::makeInt(0);
   }
 
-  void initCells(std::vector<Value> &Cells, const TypePtr &Ty,
+  void initCells(std::vector<Value> &Cells, TypePtr Ty,
                  unsigned Base) {
     TypePtr Bare = Type::withoutQuals(Ty);
     if (Bare->isStruct()) {
@@ -148,8 +148,8 @@ private:
   }
 
   /// Precomputed cell image of allocBlockForType(Ty).
-  uint32_t internTemplate(const TypePtr &Ty) {
-    auto [It, Inserted] = TemplateIndex.emplace(Ty.get(), 0);
+  uint32_t internTemplate(TypePtr Ty) {
+    auto [It, Inserted] = TemplateIndex.emplace(Ty, 0);
     if (!Inserted)
       return It->second;
     std::vector<Value> Cells(std::max(1u, sizeOfType(Ty)),
@@ -264,7 +264,7 @@ private:
   }
 
   /// Audited invariants of a store to a location of declared type \p Ty.
-  uint32_t auditIndex(const TypePtr &Ty) {
+  uint32_t auditIndex(TypePtr Ty) {
     if (!Ty)
       return NoIndex;
     AuditSite Site;
@@ -367,9 +367,9 @@ private:
 
   FieldRes resolveFields(TypePtr CurTy, const LValue *LV) {
     FieldRes R;
-    for (const std::string &Field : LV->Fields) {
+    for (std::string_view Field : LV->Fields) {
       if (!CurTy)
-        CurTy = Type::getInt();
+        CurTy = Prog.Ctx.intTy();
       TypePtr Bare = Type::withoutQuals(CurTy);
       if (!Bare->isStruct()) {
         R.Error = true;
@@ -379,11 +379,11 @@ private:
       const StructDef *Def = Prog.findStruct(Bare->structName());
       if (!Def) {
         R.Error = true;
-        R.Msg = "unknown struct '" + Bare->structName() + "'";
+        R.Msg = "unknown struct '" + std::string(Bare->structName()) + "'";
         return R;
       }
       int64_t Off = 0;
-      TypePtr FieldTy;
+      TypePtr FieldTy = nullptr;
       bool Found = false;
       for (const StructDef::Field &Fd : Def->Fields) {
         if (Fd.Name == Field) {
@@ -395,7 +395,8 @@ private:
       }
       if (!Found) {
         R.Error = true;
-        R.Msg = "struct '" + Def->Name + "' has no field '" + Field + "'";
+        R.Msg = "struct '" + std::string(Def->Name) + "' has no field '" +
+                std::string(Field) + "'";
         return R;
       }
       R.Off += Off;
@@ -433,7 +434,7 @@ private:
     uint16_t R = compileExpr(LV->Addr);
     TypePtr AddrTy = LV->Addr->Ty;
     TypePtr CurTy =
-        (AddrTy && AddrTy->isPointer()) ? AddrTy->pointee() : Type::getInt();
+        (AddrTy && AddrTy->isPointer()) ? AddrTy->pointee() : Prog.Ctx.intTy();
     FieldRes FR = resolveFields(CurTy, LV);
     Instr I;
     I.K = Op::DerefBase;
@@ -496,7 +497,7 @@ private:
         emit(I);
       } else {
         emitTrapMsg(Call->Loc, "call to undefined function '" +
-                                   Call->CalleeName + "'");
+                                   std::string(Call->CalleeName) + "'");
       }
     }
     RegTop = Dst + 1u;
@@ -566,7 +567,7 @@ private:
       if (!LV->isVar() && LV->Loc == E->Loc) {
         TypePtr AddrTy = LV->Addr->Ty;
         TypePtr CurTy = (AddrTy && AddrTy->isPointer()) ? AddrTy->pointee()
-                                                        : Type::getInt();
+                                                        : Prog.Ctx.intTy();
         FieldRes FR = resolveFields(CurTy, LV);
         if (!FR.Error) {
           ++PendingFuel; // evalLValue entry.

@@ -449,7 +449,8 @@ private:
             Block = Slots[SlotBase + I.Extra];
             if (Block == 0) {
               trap(I.At, "unbound variable '" +
-                             CurFn.SlotVars[I.Extra]->Name + "'");
+                             std::string(CurFn.SlotVars[I.Extra]->Name) +
+                             "'");
               Result.Steps = Steps;
               return;
             }
@@ -496,7 +497,8 @@ private:
             Block = Slots[SlotBase + I.Extra];
             if (Block == 0) {
               trap(I.At, "unbound variable '" +
-                             CurFn.SlotVars[I.Extra]->Name + "'");
+                             std::string(CurFn.SlotVars[I.Extra]->Name) +
+                             "'");
               Result.Steps = Steps;
               return;
             }
@@ -579,7 +581,8 @@ private:
             Block = Slots[SlotBase + I.Extra];
             if (Block == 0) {
               trap(I.At, "unbound variable '" +
-                             CurFn.SlotVars[I.Extra]->Name + "'");
+                             std::string(CurFn.SlotVars[I.Extra]->Name) +
+                             "'");
               Result.Steps = Steps;
               return;
             }

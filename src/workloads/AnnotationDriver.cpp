@@ -29,7 +29,7 @@ struct AnnotTarget {
   Kind K = Kind::None;
   VarDecl *Var = nullptr;
   StructDef *Def = nullptr;
-  std::string Field;
+  std::string_view Field;
 
   bool valid() const { return K != Kind::None; }
   bool operator<(const AnnotTarget &O) const {
@@ -40,7 +40,7 @@ struct AnnotTarget {
 
 /// Resolves the struct definition owning the last field of \p LV.
 StructDef *structOfLastField(const Program &Prog, const LValue *LV) {
-  TypePtr Cur;
+  TypePtr Cur = nullptr;
   if (LV->isVar())
     Cur = LV->Var->DeclaredTy;
   else if (LV->Addr->Ty && Type::withoutQuals(LV->Addr->Ty)->isPointer())
@@ -194,14 +194,14 @@ private:
 };
 
 /// Applies the qualifier to a target's declared type.
-void annotate(const AnnotTarget &T, const std::string &Qual) {
+void annotate(ASTContext &Ctx, const AnnotTarget &T, const std::string &Qual) {
   if (T.K == AnnotTarget::Kind::Var) {
-    T.Var->DeclaredTy = Type::withQual(T.Var->DeclaredTy, Qual);
+    T.Var->DeclaredTy = Ctx.withQual(T.Var->DeclaredTy, Qual);
     return;
   }
   for (StructDef::Field &F : T.Def->Fields)
     if (F.Name == T.Field)
-      F.Ty = Type::withQual(F.Ty, Qual);
+      F.Ty = Ctx.withQual(F.Ty, Qual);
 }
 
 /// Shared fixpoint engine for the annotation experiments.
@@ -234,7 +234,6 @@ FixpointOutcome runFixpoint(
   for (unsigned Iter = 0; Iter < 64; ++Iter) {
     ++Out.Iterations;
     ScratchDiags.clear();
-    Prog.Ctx.resetComputedTypes();
     runSema(Prog, Quals.refNames(), ScratchDiags);
     CheckerOptions Options;
     Options.AssumedCasts = &AssumedCasts;
@@ -250,7 +249,7 @@ FixpointOutcome runFixpoint(
         continue;
       AnnotTarget T = rootOf(Prog, F.Offending);
       if (T.valid() && !Annotated.count(T) && AnnotatableIf(T)) {
-        annotate(T, Qual);
+        annotate(Prog.Ctx, T, Qual);
         Annotated.insert(T);
         Changed = true;
         continue;

@@ -17,7 +17,8 @@
 #      included from" notes);
 #   4. the link-error pair (two TUs disagree on one prototype's
 #      qualifier; exit 2 with the link error and none of the checker
-#      warnings the defining TU would produce on its own);
+#      warnings the defining TU would produce on its own), and its
+#      variadic twin (the signatures' ellipsis renders once);
 #   5. --jobs 4 and a double run: byte-identical to --jobs 1 every time;
 #   6. the same checks through a live stqd daemon (the client ships the
 #      include closure over the socket): byte-identical to one-shot, and
@@ -76,6 +77,7 @@ run_case dfa 1 nonnull dfa.c
 run_case multi 1 pos,neg alpha.c beta.c main.c
 run_case chain 1 pos,neg chain.c
 run_case mismatch 2 pos,neg mismatch_def.c mismatch_use.c
+run_case variadic 2 tainted,untainted variadic_def.c variadic_use.c
 
 # --- the same corpus through a live daemon ----------------------------------
 "$STQD" --socket "$SOCK" --workers 2 --jobs 2 2>"$WORK/stqd.err" &
@@ -107,6 +109,7 @@ server_case dfa 1 nonnull dfa.c
 server_case multi 1 pos,neg alpha.c beta.c main.c
 server_case chain 1 pos,neg chain.c
 server_case mismatch 2 pos,neg mismatch_def.c mismatch_use.c
+server_case variadic 2 tainted,untainted variadic_def.c variadic_use.c
 
 # Cold then warm recheck against the daemon's shared incremental engine:
 # both byte-identical to the one-shot check.

@@ -1,13 +1,17 @@
 //===- test_cminus.cpp - Tests for the C-minus front end ------------------===//
 
+#include "checker/ConstraintInference.h"
 #include "cminus/AST.h"
 #include "cminus/Lowering.h"
 #include "cminus/Parser.h"
 #include "cminus/Printer.h"
 #include "cminus/Sema.h"
 #include "cminus/Type.h"
+#include "qual/Builtins.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 using namespace stq;
 using namespace stq::cminus;
@@ -44,20 +48,40 @@ std::unique_ptr<Program> frontendOk(const std::string &Source,
   return Prog;
 }
 
+/// \p T with every qualifier removed at every level, built in \p Ctx: the
+/// reference equalsIgnoringQuals() is checked against.
+TypePtr deepUnqualified(ASTContext &Ctx, TypePtr T) {
+  switch (T->getKind()) {
+  case Type::Kind::Pointer:
+    return Ctx.getPointer(deepUnqualified(Ctx, T->pointee()));
+  case Type::Kind::Function: {
+    std::vector<TypePtr> Params;
+    for (TypePtr P : T->paramTypes())
+      Params.push_back(deepUnqualified(Ctx, P));
+    return Ctx.getFunction(deepUnqualified(Ctx, T->returnType()), Params,
+                           T->isVariadic());
+  }
+  default:
+    return Type::withoutQuals(T);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Types
 //===----------------------------------------------------------------------===//
 
 TEST(Type, BasicPredicates) {
-  EXPECT_TRUE(Type::getInt()->isInt());
-  EXPECT_TRUE(Type::getChar()->isArithmetic());
-  EXPECT_TRUE(Type::getVoid()->isVoid());
-  EXPECT_TRUE(Type::getPointer(Type::getInt())->isPointer());
-  EXPECT_TRUE(Type::getStruct("dfa")->isStruct());
+  ASTContext Ctx;
+  EXPECT_TRUE(Ctx.intTy()->isInt());
+  EXPECT_TRUE(Ctx.charTy()->isArithmetic());
+  EXPECT_TRUE(Ctx.voidTy()->isVoid());
+  EXPECT_TRUE(Ctx.getPointer(Ctx.intTy())->isPointer());
+  EXPECT_TRUE(Ctx.getStruct("dfa")->isStruct());
 }
 
 TEST(Type, QualsAreSortedAndDeduped) {
-  TypePtr T = Type::withQuals(Type::getInt(), {"pos", "nonzero", "pos"});
+  ASTContext Ctx;
+  TypePtr T = Ctx.withQuals(Ctx.intTy(), {"pos", "nonzero", "pos"});
   ASSERT_EQ(T->quals().size(), 2u);
   EXPECT_EQ(T->quals()[0], "nonzero");
   EXPECT_EQ(T->quals()[1], "pos");
@@ -66,9 +90,10 @@ TEST(Type, QualsAreSortedAndDeduped) {
 }
 
 TEST(Type, WithQualAddsOne) {
-  TypePtr T = Type::withQual(Type::getInt(), "pos");
+  ASTContext Ctx;
+  TypePtr T = Ctx.withQual(Ctx.intTy(), "pos");
   EXPECT_TRUE(T->hasQual("pos"));
-  TypePtr T2 = Type::withQual(T, "nonzero");
+  TypePtr T2 = Ctx.withQual(T, "nonzero");
   EXPECT_TRUE(T2->hasQual("pos"));
   EXPECT_TRUE(T2->hasQual("nonzero"));
   // Original is unchanged (immutability).
@@ -76,108 +101,295 @@ TEST(Type, WithQualAddsOne) {
 }
 
 TEST(Type, EqualityIsStructuralIncludingQuals) {
-  TypePtr A = Type::withQual(Type::getInt(), "pos");
-  TypePtr B = Type::withQual(Type::getInt(), "pos");
+  ASTContext Ctx;
+  TypePtr A = Ctx.withQual(Ctx.intTy(), "pos");
+  TypePtr B = Ctx.withQual(Ctx.intTy(), "pos");
   EXPECT_TRUE(Type::equals(A, B));
-  EXPECT_FALSE(Type::equals(A, Type::getInt()));
+  EXPECT_FALSE(Type::equals(A, Ctx.intTy()));
   // Qualifier order is irrelevant (rule SubQualReorder).
-  TypePtr C = Type::withQuals(Type::getInt(), {"pos", "nonzero"});
-  TypePtr D = Type::withQuals(Type::getInt(), {"nonzero", "pos"});
+  TypePtr C = Ctx.withQuals(Ctx.intTy(), {"pos", "nonzero"});
+  TypePtr D = Ctx.withQuals(Ctx.intTy(), {"nonzero", "pos"});
   EXPECT_TRUE(Type::equals(C, D));
 }
 
 TEST(Type, SubtypeDropsTopLevelQuals) {
+  ASTContext Ctx;
   // int pos <= int  (rule SubValQual).
-  TypePtr IntPos = Type::withQual(Type::getInt(), "pos");
-  EXPECT_TRUE(Type::isSubtypeOf(IntPos, Type::getInt()));
-  EXPECT_FALSE(Type::isSubtypeOf(Type::getInt(), IntPos));
+  TypePtr IntPos = Ctx.withQual(Ctx.intTy(), "pos");
+  EXPECT_TRUE(Type::isSubtypeOf(IntPos, Ctx.intTy()));
+  EXPECT_FALSE(Type::isSubtypeOf(Ctx.intTy(), IntPos));
   // Reflexivity.
   EXPECT_TRUE(Type::isSubtypeOf(IntPos, IntPos));
 }
 
 TEST(Type, SubtypeSupersetOfQuals) {
-  TypePtr PosNonzero = Type::withQuals(Type::getInt(), {"pos", "nonzero"});
-  TypePtr Nonzero = Type::withQual(Type::getInt(), "nonzero");
+  ASTContext Ctx;
+  TypePtr PosNonzero = Ctx.withQuals(Ctx.intTy(), {"pos", "nonzero"});
+  TypePtr Nonzero = Ctx.withQual(Ctx.intTy(), "nonzero");
   EXPECT_TRUE(Type::isSubtypeOf(PosNonzero, Nonzero));
   EXPECT_FALSE(Type::isSubtypeOf(Nonzero, PosNonzero));
 }
 
 TEST(Type, NoSubtypingUnderPointers) {
+  ASTContext Ctx;
   // int pos* is NOT a subtype of int* (section 2.1.2).
-  TypePtr IntPos = Type::withQual(Type::getInt(), "pos");
-  TypePtr PtrIntPos = Type::getPointer(IntPos);
-  TypePtr PtrInt = Type::getPointer(Type::getInt());
+  TypePtr IntPos = Ctx.withQual(Ctx.intTy(), "pos");
+  TypePtr PtrIntPos = Ctx.getPointer(IntPos);
+  TypePtr PtrInt = Ctx.getPointer(Ctx.intTy());
   EXPECT_FALSE(Type::isSubtypeOf(PtrIntPos, PtrInt));
   EXPECT_FALSE(Type::isSubtypeOf(PtrInt, PtrIntPos));
 }
 
 TEST(Type, PointerTopLevelQualsStillSubtype) {
+  ASTContext Ctx;
   // int* unique <= int* would hold for a VALUE qualifier set; the checker
   // strips reference qualifiers before using this relation. Here we verify
   // the raw relation on top-level qualifier sets.
-  TypePtr PtrInt = Type::getPointer(Type::getInt());
-  TypePtr PtrIntQ = Type::withQual(PtrInt, "nonnull");
+  TypePtr PtrInt = Ctx.getPointer(Ctx.intTy());
+  TypePtr PtrIntQ = Ctx.withQual(PtrInt, "nonnull");
   EXPECT_TRUE(Type::isSubtypeOf(PtrIntQ, PtrInt));
 }
 
 TEST(Type, DeepUnqualifiedStripsEveryLevel) {
-  TypePtr T = Type::withQual(
-      Type::getPointer(Type::withQual(Type::getInt(), "pos")), "unique");
-  TypePtr U = Type::deepUnqualified(T);
+  ASTContext Ctx;
+  TypePtr T = Ctx.withQual(
+      Ctx.getPointer(Ctx.withQual(Ctx.intTy(), "pos")), "unique");
+  TypePtr U = deepUnqualified(Ctx, T);
   EXPECT_TRUE(U->quals().empty());
   EXPECT_TRUE(U->pointee()->quals().empty());
-  EXPECT_TRUE(Type::equals(U, Type::getPointer(Type::getInt())));
+  EXPECT_TRUE(Type::equals(U, Ctx.getPointer(Ctx.intTy())));
 }
 
 TEST(Type, EqualsIgnoringQualsAgreesWithDeepUnqualifiedEquality) {
-  TypePtr Int = Type::getInt();
-  TypePtr PosInt = Type::withQual(Int, "pos");
-  TypePtr Fn = Type::getFunction(PosInt, {Type::getPointer(PosInt)}, false);
+  ASTContext Ctx;
+  TypePtr Int = Ctx.intTy();
+  TypePtr PosInt = Ctx.withQual(Int, "pos");
+  TypePtr Fn = Ctx.getFunction(PosInt, {Ctx.getPointer(PosInt)}, false);
   std::vector<TypePtr> Types = {
       Int,
       PosInt,
-      Type::getChar(),
-      Type::getPointer(Int),
-      Type::withQual(Type::getPointer(PosInt), "unique"),
-      Type::getPointer(Type::getPointer(Type::withQual(Int, "neg"))),
-      Type::getPointer(Type::getVoid()),
-      Type::getStruct("a"),
-      Type::withQual(Type::getStruct("a"), "nonnull"),
-      Type::getStruct("b"),
+      Ctx.charTy(),
+      Ctx.getPointer(Int),
+      Ctx.withQual(Ctx.getPointer(PosInt), "unique"),
+      Ctx.getPointer(Ctx.getPointer(Ctx.withQual(Int, "neg"))),
+      Ctx.getPointer(Ctx.voidTy()),
+      Ctx.getStruct("a"),
+      Ctx.withQual(Ctx.getStruct("a"), "nonnull"),
+      Ctx.getStruct("b"),
       Fn,
-      Type::getFunction(Int, {Type::getPointer(Int)}, false),
-      Type::getFunction(Int, {Type::getPointer(Int)}, true),
+      Ctx.getFunction(Int, {Ctx.getPointer(Int)}, false),
+      Ctx.getFunction(Int, {Ctx.getPointer(Int)}, true),
   };
-  for (const TypePtr &A : Types)
-    for (const TypePtr &B : Types)
+  for (TypePtr A : Types)
+    for (TypePtr B : Types)
       EXPECT_EQ(Type::equalsIgnoringQuals(A, B),
-                Type::equals(Type::deepUnqualified(A),
-                             Type::deepUnqualified(B)))
+                Type::equals(deepUnqualified(Ctx, A),
+                             deepUnqualified(Ctx, B)))
           << A->str() << " vs " << B->str();
 }
 
 TEST(Type, DroppingNothingReturnsTheSameNode) {
-  TypePtr PosInt = Type::withQual(Type::getInt(), "pos");
-  EXPECT_EQ(Type::withoutQuals(PosInt), Type::getInt());
-  EXPECT_EQ(Type::withoutQualsIn(PosInt, {"unique"}), PosInt);
-  EXPECT_EQ(Type::withQual(PosInt, "pos"), PosInt);
-  TypePtr Ptr = Type::getPointer(PosInt);
-  EXPECT_EQ(Type::withoutQuals(Type::withQual(Ptr, "unique")), Ptr);
+  ASTContext Ctx;
+  TypePtr PosInt = Ctx.withQual(Ctx.intTy(), "pos");
+  EXPECT_EQ(Type::withoutQuals(PosInt), Ctx.intTy());
+  EXPECT_EQ(Ctx.withoutQualsIn(PosInt, {"unique"}), PosInt);
+  EXPECT_EQ(Ctx.withQual(PosInt, "pos"), PosInt);
+  TypePtr Ptr = Ctx.getPointer(PosInt);
+  EXPECT_EQ(Type::withoutQuals(Ctx.withQual(Ptr, "unique")), Ptr);
 }
 
 TEST(Type, WithoutQualsInDropsOnlyListed) {
-  TypePtr T = Type::withQuals(Type::getPointer(Type::getInt()),
+  ASTContext Ctx;
+  TypePtr T = Ctx.withQuals(Ctx.getPointer(Ctx.intTy()),
                               {"unique", "nonnull"});
-  TypePtr R = Type::withoutQualsIn(T, {"unique", "unaliased"});
+  TypePtr R = Ctx.withoutQualsIn(T, {"unique", "unaliased"});
   EXPECT_FALSE(R->hasQual("unique"));
   EXPECT_TRUE(R->hasQual("nonnull"));
 }
 
 TEST(Type, StrRendersPostfix) {
-  TypePtr T = Type::withQual(
-      Type::getPointer(Type::withQual(Type::getInt(), "pos")), "unique");
+  ASTContext Ctx;
+  TypePtr T = Ctx.withQual(
+      Ctx.getPointer(Ctx.withQual(Ctx.intTy(), "pos")), "unique");
   EXPECT_EQ(T->str(), "int pos* unique");
-  EXPECT_EQ(Type::getPointer(Type::getChar())->str(), "char*");
+  EXPECT_EQ(Ctx.getPointer(Ctx.charTy())->str(), "char*");
+}
+
+//===----------------------------------------------------------------------===//
+// Type ownership: each Program's context owns every type its TU uses.
+//===----------------------------------------------------------------------===//
+
+/// Calls \p Visit on every computed type of \p S's expressions and
+/// l-values, and on the declared type of every local it declares.
+void forEachType(const Stmt *S, const std::function<void(TypePtr)> &Visit) {
+  std::function<void(const Expr *)> OnExpr;
+  auto OnLValue = [&](const LValue *LV) {
+    Visit(LV->Ty);
+    if (LV->isMem())
+      OnExpr(LV->Addr);
+  };
+  OnExpr = [&](const Expr *E) {
+    Visit(E->Ty);
+    if (auto *R = dyn_cast<LValReadExpr>(E))
+      OnLValue(R->LV);
+    else if (auto *A = dyn_cast<AddrOfExpr>(E))
+      OnLValue(A->LV);
+    else if (auto *B = dyn_cast<BinaryExpr>(E)) {
+      OnExpr(B->LHS);
+      OnExpr(B->RHS);
+    } else if (auto *C = dyn_cast<CallExpr>(E)) {
+      for (const Expr *Arg : C->Args)
+        OnExpr(Arg);
+    }
+  };
+  if (auto *B = dyn_cast<BlockStmt>(S)) {
+    for (const Stmt *Sub : B->Stmts)
+      forEachType(Sub, Visit);
+  } else if (auto *D = dyn_cast<DeclStmt>(S)) {
+    Visit(D->Var->DeclaredTy);
+    if (D->Var->Init)
+      OnExpr(D->Var->Init);
+  } else if (auto *A = dyn_cast<AssignStmt>(S)) {
+    OnLValue(A->LHS);
+    OnExpr(A->RHS);
+  } else if (auto *R = dyn_cast<ReturnStmt>(S)) {
+    if (R->Value)
+      OnExpr(R->Value);
+  }
+}
+
+/// Every declared and computed type of \p Prog, with their pointees.
+std::vector<TypePtr> allTypes(const Program &Prog) {
+  std::vector<TypePtr> Out;
+  std::function<void(TypePtr)> Add = [&](TypePtr T) {
+    ASSERT_NE(T, nullptr);
+    Out.push_back(T);
+    if (T->isPointer())
+      Add(T->pointee());
+  };
+  for (const StructDef *S : Prog.Structs)
+    for (const StructDef::Field &F : S->Fields)
+      Add(F.Ty);
+  for (const VarDecl *G : Prog.Globals)
+    Add(G->DeclaredTy);
+  for (const FuncDecl *F : Prog.Functions) {
+    Add(F->RetTy);
+    for (const VarDecl *P : F->Params)
+      Add(P->DeclaredTy);
+    if (F->Body)
+      forEachType(F->Body, Add);
+  }
+  return Out;
+}
+
+TEST(TypeOwnership, EveryIntInAProgramIsOneNode) {
+  DiagnosticEngine Diags;
+  auto Prog = frontendOk("int g(int x) { return x; }\n"
+                         "int f(int a, int b) {\n"
+                         "  int s = a + b;\n"
+                         "  return g(g(s));\n"
+                         "}\n",
+                         Diags);
+  ASSERT_TRUE(Prog);
+  TypePtr Int = Prog->Ctx.intTy();
+  const FuncDecl *F = Prog->findFunction("f");
+  EXPECT_EQ(F->Params[0]->DeclaredTy, Int); // spelled
+  auto *Sum = cast<DeclStmt>(F->Body->Stmts[0]);
+  EXPECT_EQ(Sum->Var->Init->Ty, Int); // Sema's type for a + b
+  unsigned Temps = 0;
+  for (const Stmt *S : F->Body->Stmts)
+    if (auto *D = dyn_cast<DeclStmt>(S))
+      if (D->Var->Name.starts_with("__cil_tmp")) {
+        ++Temps;
+        EXPECT_EQ(D->Var->DeclaredTy, Int); // lowering's temporary
+      }
+  EXPECT_EQ(Temps, 2u);
+}
+
+TEST(TypeOwnership, AddressOfTwiceIsOnePointerNode) {
+  DiagnosticEngine Diags;
+  auto Prog = frontendOk("int f() {\n"
+                         "  int x = 1;\n"
+                         "  int* p = &x;\n"
+                         "  int* q = &x;\n"
+                         "  return *p + *q;\n"
+                         "}\n",
+                         Diags);
+  ASSERT_TRUE(Prog);
+  const auto &Stmts = Prog->findFunction("f")->Body->Stmts;
+  TypePtr First = cast<DeclStmt>(Stmts[1])->Var->Init->Ty;
+  TypePtr Second = cast<DeclStmt>(Stmts[2])->Var->Init->Ty;
+  EXPECT_EQ(First, Second);
+  EXPECT_EQ(First, Prog->Ctx.getPointer(Prog->Ctx.intTy()));
+  EXPECT_EQ(First, cast<DeclStmt>(Stmts[1])->Var->DeclaredTy);
+}
+
+TEST(TypeOwnership, TwoProgramsShareNoTypeNode) {
+  const std::string Source = "struct s { int pos v; char* name; };\n"
+                             "int pos g = 3;\n"
+                             "int f(struct s* p, char* c) {\n"
+                             "  int pos x = g;\n"
+                             "  int* a = &x;\n"
+                             "  c = \"lit\";\n"
+                             "  p = NULL;\n"
+                             "  return x + *a;\n"
+                             "}\n";
+  DiagnosticEngine DA, DB;
+  auto A = frontendOk(Source, DA);
+  auto B = frontendOk(Source, DB);
+  ASSERT_TRUE(A && B);
+  std::vector<TypePtr> TA = allTypes(*A), TB = allTypes(*B);
+  ASSERT_GT(TA.size(), 20u);
+  for (TypePtr T : TA) {
+    EXPECT_TRUE(A->Ctx.owns(T)) << T->str();
+    EXPECT_FALSE(B->Ctx.owns(T)) << T->str();
+  }
+  for (TypePtr T : TB)
+    EXPECT_TRUE(B->Ctx.owns(T)) << T->str();
+  // Distinct nodes still compare structurally.
+  ASSERT_EQ(TA.size(), TB.size());
+  for (size_t I = 0; I < TA.size(); ++I)
+    EXPECT_TRUE(Type::equals(TA[I], TB[I])) << TA[I]->str();
+}
+
+TEST(TypeOwnership, EditedDeclaredTypesBelongToTheEditedProgram) {
+  qual::QualifierSet Quals;
+  DiagnosticEngine Diags;
+  ASSERT_TRUE(qual::loadBuiltinQualifiers({"pos", "neg"}, Quals, Diags));
+  const std::string Source = "int pos g = 3;\n"
+                             "int f(int pos a) {\n"
+                             "  int pos x = a;\n"
+                             "  int y = x;\n"
+                             "  return y;\n"
+                             "}\n";
+  auto Other = frontendOk(Source, Diags);
+  auto Prog = frontendOk(Source, Diags);
+  ASSERT_TRUE(Other && Prog);
+  auto ExpectOwned = [&] {
+    for (const VarDecl *G : Prog->Globals)
+      EXPECT_TRUE(Prog->Ctx.owns(G->DeclaredTy)) << G->Name;
+    for (const FuncDecl *F : Prog->Functions)
+      for (const VarDecl *P : F->Params)
+        EXPECT_TRUE(Prog->Ctx.owns(P->DeclaredTy)) << P->Name;
+  };
+
+  EXPECT_GT(checker::stripInferableQualifiers(*Prog, Quals), 0u);
+  ExpectOwned();
+  EXPECT_FALSE(Prog->Globals[0]->DeclaredTy->hasQual("pos"));
+
+  checker::InferenceReport Report;
+  for (VarDecl *V : {Prog->Globals[0], Prog->findFunction("f")->Params[0]}) {
+    checker::InferenceSuggestion S;
+    S.Var = V->Name;
+    S.Decl = V;
+    S.Quals.push_back({"pos", "solver", false});
+    S.Quals.push_back({"neg", "solver", false});
+    Report.Suggestions.push_back(S);
+  }
+  checker::applyReport(*Prog, Report);
+  ExpectOwned();
+  EXPECT_TRUE(Prog->Globals[0]->DeclaredTy->hasQual("neg"));
+  EXPECT_FALSE(Other->Ctx.owns(Prog->Globals[0]->DeclaredTy));
 }
 
 //===----------------------------------------------------------------------===//
@@ -302,11 +514,11 @@ TEST(Parser, EachSpelledTypeIsOneNodePerParse) {
   ASSERT_FALSE(R.Diags.hasErrors());
   const auto &G = R.Prog->Globals;
   ASSERT_EQ(G.size(), 3u);
-  EXPECT_EQ(G[0]->DeclaredTy.get(), G[1]->DeclaredTy.get());
+  EXPECT_EQ(G[0]->DeclaredTy, G[1]->DeclaredTy);
   const FuncDecl *F = R.Prog->findFunction("f");
-  EXPECT_EQ(F->Params[0]->DeclaredTy.get(), G[2]->DeclaredTy.get());
-  EXPECT_EQ(F->Params[1]->DeclaredTy.get(), G[0]->DeclaredTy.get());
-  EXPECT_EQ(F->RetTy.get(), Type::getInt().get());
+  EXPECT_EQ(F->Params[0]->DeclaredTy, G[2]->DeclaredTy);
+  EXPECT_EQ(F->Params[1]->DeclaredTy, G[0]->DeclaredTy);
+  EXPECT_EQ(F->RetTy, R.Prog->Ctx.intTy());
 }
 
 TEST(Parser, SecondBodyIsARedefinition) {

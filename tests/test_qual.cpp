@@ -4,14 +4,13 @@
 #include "qual/QualAST.h"
 #include "qual/QualParser.h"
 
-#include "cminus/Type.h"
+#include "cminus/AST.h"
 
 #include <gtest/gtest.h>
 
 using namespace stq;
 using namespace stq::qual;
 using cminus::BinaryOp;
-using cminus::Type;
 using cminus::UnaryOp;
 
 namespace {
@@ -43,38 +42,42 @@ bool wellFormed(const std::string &Source) {
 //===----------------------------------------------------------------------===//
 
 TEST(TypePattern, AnyMatchesEverything) {
+  cminus::ASTContext Ctx;
   TypePattern P = TypePattern::any();
-  EXPECT_TRUE(P.matches(Type::getInt()));
-  EXPECT_TRUE(P.matches(Type::getPointer(Type::getChar())));
-  EXPECT_TRUE(P.matches(Type::getStruct("s")));
+  EXPECT_TRUE(P.matches(Ctx.intTy()));
+  EXPECT_TRUE(P.matches(Ctx.getPointer(Ctx.charTy())));
+  EXPECT_TRUE(P.matches(Ctx.getStruct("s")));
 }
 
 TEST(TypePattern, IntMatchesIntIgnoringQuals) {
+  cminus::ASTContext Ctx;
   TypePattern P = TypePattern::intTy();
-  EXPECT_TRUE(P.matches(Type::getInt()));
-  EXPECT_TRUE(P.matches(Type::withQual(Type::getInt(), "pos")));
-  EXPECT_FALSE(P.matches(Type::getChar()));
-  EXPECT_FALSE(P.matches(Type::getPointer(Type::getInt())));
+  EXPECT_TRUE(P.matches(Ctx.intTy()));
+  EXPECT_TRUE(P.matches(Ctx.withQual(Ctx.intTy(), "pos")));
+  EXPECT_FALSE(P.matches(Ctx.charTy()));
+  EXPECT_FALSE(P.matches(Ctx.getPointer(Ctx.intTy())));
 }
 
 TEST(TypePattern, PointerPatternsMatchStructurally) {
+  cminus::ASTContext Ctx;
   // T* matches any pointer.
   TypePattern AnyPtr = TypePattern::pointerTo(TypePattern::any());
-  EXPECT_TRUE(AnyPtr.matches(Type::getPointer(Type::getInt())));
+  EXPECT_TRUE(AnyPtr.matches(Ctx.getPointer(Ctx.intTy())));
   EXPECT_TRUE(AnyPtr.matches(
-      Type::getPointer(Type::getPointer(Type::getChar()))));
-  EXPECT_FALSE(AnyPtr.matches(Type::getInt()));
+      Ctx.getPointer(Ctx.getPointer(Ctx.charTy()))));
+  EXPECT_FALSE(AnyPtr.matches(Ctx.intTy()));
   // T** matches only pointer-to-pointer.
   TypePattern AnyPtrPtr = TypePattern::pointerTo(AnyPtr);
-  EXPECT_FALSE(AnyPtrPtr.matches(Type::getPointer(Type::getInt())));
+  EXPECT_FALSE(AnyPtrPtr.matches(Ctx.getPointer(Ctx.intTy())));
   EXPECT_TRUE(AnyPtrPtr.matches(
-      Type::getPointer(Type::getPointer(Type::getInt()))));
+      Ctx.getPointer(Ctx.getPointer(Ctx.intTy()))));
 }
 
 TEST(TypePattern, QualifiersIgnoredAtEveryLevel) {
+  cminus::ASTContext Ctx;
   TypePattern IntPtr = TypePattern::pointerTo(TypePattern::intTy());
-  cminus::TypePtr T = Type::withQual(
-      Type::getPointer(Type::withQual(Type::getInt(), "pos")), "unique");
+  cminus::TypePtr T = Ctx.withQual(
+      Ctx.getPointer(Ctx.withQual(Ctx.intTy(), "pos")), "unique");
   EXPECT_TRUE(IntPtr.matches(T));
 }
 
