@@ -34,19 +34,57 @@ void QualChecker::warn(SourceLoc Loc, const std::string &Message) {
 // hasQualifier
 //===----------------------------------------------------------------------===//
 
+QualChecker::QueryTable::State &QualChecker::QueryTable::at(unsigned Id,
+                                                           uint32_t Qual) {
+  if ((Used + 1) * 4 > Capacity * 3)
+    grow();
+  Entry *Entries = entries();
+  size_t Mask = Capacity - 1;
+  for (size_t I = (Id * 0x9E3779B1u + Qual * 0x85EBCA6Bu) & Mask;;
+       I = (I + 1) & Mask) {
+    Entry &En = Entries[I];
+    if (En.S == State::Empty) {
+      En = {Id, Qual, State::Unstored};
+      ++Used;
+      return En.S;
+    }
+    if (En.Id == Id && En.Qual == Qual)
+      return En.S;
+  }
+}
+
+void QualChecker::QueryTable::grow() {
+  std::vector<Entry> Old(entries(), entries() + Capacity);
+  Capacity *= 2;
+  Heap.assign(Capacity, Entry());
+  Used = 0;
+  for (const Entry &En : Old)
+    if (En.S != State::Empty)
+      at(En.Id, En.Qual) = En.S;
+}
+
 bool QualChecker::hasQualifier(const Expr *E, const std::string &QualName) {
-  return hasQualifier(E, Quals.find(QualName));
+  return derive(E, Quals.indexOf(QualName));
 }
 
 bool QualChecker::hasQualifier(const Expr *E, const QualifierDef *Q) {
+  assert((!Q || (Q >= Quals.all().data() &&
+                 Q < Quals.all().data() + Quals.all().size())) &&
+         "qualifier from another set");
+  return derive(E, Q ? static_cast<uint32_t>(Q - Quals.all().data())
+                     : qual::NoQual);
+}
+
+bool QualChecker::derive(const Expr *E, uint32_t QI) {
   ++Result.Stats.HasQualQueries;
-  if (!Q || !E->Ty)
+  if (QI == qual::NoQual || !E->Ty)
     return false;
+  const QualifierDef &Q = Quals.all()[QI];
   if (Options.AssumedCasts) {
     auto Assumed = Options.AssumedCasts->find(E->Id);
     if (Assumed != Options.AssumedCasts->end())
       for (const std::string &Name : Assumed->second)
-        if (Name == Q->Name)
+        if (Name == Q.Name)
           return true;
   }
   if (Options.AssumedVarQuals) {
@@ -54,7 +92,7 @@ bool QualChecker::hasQualifier(const Expr *E, const QualifierDef *Q) {
       if (Read->LV->isBareVar()) {
         auto Found = Options.AssumedVarQuals->find(Read->LV->Var);
         if (Found != Options.AssumedVarQuals->end() &&
-            Found->second.count(Q->Name))
+            Found->second.count(Q.Name))
           return true;
       }
     }
@@ -82,7 +120,7 @@ bool QualChecker::hasQualifier(const Expr *E, const QualifierDef *Q) {
     if (const auto *Read = dyn_cast<LValReadExpr>(Root)) {
       if (Read->LV->isBareVar()) {
         auto Found = Narrowed.find(Read->LV->Var);
-        if (Found != Narrowed.end() && Found->second.count(Q->Name))
+        if (Found != Narrowed.end() && Found->second.count(Q.Name))
           return true;
       }
     }
@@ -90,45 +128,45 @@ bool QualChecker::hasQualifier(const Expr *E, const QualifierDef *Q) {
   // Declared/static types carry value qualifiers directly (variable
   // declarations, function returns, casts, pointer arithmetic under the
   // logical memory model).
-  if (E->Ty->hasQual(Q->Name))
+  if (E->Ty->hasQual(Q.Name))
     return true;
-  if (Q->IsRef)
+  if (Q.IsRef)
     return false; // Reference qualifiers never attach to r-types.
-  if (!Q->SubjectTy.matches(E->Ty))
+  if (!Q.SubjectTy.matches(E->Ty))
     return false;
-  if (Q->Cases.empty())
+  if (Q.Cases.empty())
     return false;
 
-  QueryKey Key(E->Id, Q);
-  auto Found = Memo.find(Key);
-  if (Found != Memo.end()) {
+  using State = QueryTable::State;
+  State &Before = Queries.at(E->Id, QI);
+  if (Before == State::True || Before == State::False) {
     ++Result.Stats.MemoHits;
-    return Found->second;
+    return Before == State::True;
   }
-  if (InProgress.count(Key)) {
+  if (Before == State::InProgress) {
     // A derivation may not depend on itself (least fixpoint).
     TouchedInProgress = true;
     return false;
   }
-
-  InProgress.insert(Key);
+  Before = State::InProgress;
   bool SavedTouched = TouchedInProgress;
   TouchedInProgress = false;
 
   bool Derivable = false;
-  for (const Clause &C : Q->Cases) {
+  for (const Clause &C : Q.Cases) {
     Bindings B;
-    if (matchExprPattern(C, Q, E, B) && evalPred(C.Where, B)) {
+    if (matchExprPattern(C, /*BindSubject=*/true, E, B) && evalPred(C, 0, B)) {
       Derivable = true;
       break;
     }
   }
 
-  InProgress.erase(Key);
+  // The derivation may have grown the table: look the entry up again.
   // Results that consulted an in-progress query hold only in this
   // derivation context; do not cache them.
-  if (!TouchedInProgress)
-    Memo.emplace(Key, Derivable);
+  Queries.at(E->Id, QI) = TouchedInProgress ? State::Unstored
+                          : Derivable       ? State::True
+                                            : State::False;
   TouchedInProgress = TouchedInProgress || SavedTouched;
   return Derivable;
 }
@@ -137,96 +175,92 @@ bool QualChecker::hasQualifier(const Expr *E, const QualifierDef *Q) {
 // Pattern matching
 //===----------------------------------------------------------------------===//
 
-bool QualChecker::bindVar(const Clause &C, const QualifierDef *Q,
-                          const std::string &Name, const Expr *E,
+bool QualChecker::bindVar(const Clause &C, uint8_t S, const Expr *E,
                           Bindings &Out) {
-  (void)Q;
-  if (Out.count(Name))
-    return Out[Name].E == E; // Nonlinear patterns require the same node.
-  const qual::VarPatternDecl *D = C.findDecl(Name);
-  if (!D) {
-    // The subject variable binds to anything of the subject's kind; its
-    // type was checked before matching began.
-    Out[Name] = Binding{E, nullptr};
-    return true;
-  }
-  switch (D->Cls) {
-  case Classifier::Expr:
-    break;
-  case Classifier::Const:
-    if (!isa<IntConstExpr>(E) && !isa<StrConstExpr>(E) &&
-        !isa<NullConstExpr>(E))
-      return false;
-    break;
-  case Classifier::LValue:
-    if (!isa<LValReadExpr>(E))
-      return false;
-    break;
-  case Classifier::Var:
-    if (const auto *Read = dyn_cast<LValReadExpr>(E)) {
-      if (!Read->LV->isBareVar())
+  if (Out[S].bound())
+    return Out[S].E == E; // Nonlinear patterns require the same node.
+  const qual::SlotDecl &D = C.Slots[S];
+  if (D.Declared) {
+    switch (D.Cls) {
+    case Classifier::Expr:
+      break;
+    case Classifier::Const:
+      if (!isa<IntConstExpr>(E) && !isa<StrConstExpr>(E) &&
+          !isa<NullConstExpr>(E))
         return false;
-    } else {
-      return false;
+      break;
+    case Classifier::LValue:
+      if (!isa<LValReadExpr>(E))
+        return false;
+      break;
+    case Classifier::Var:
+      if (const auto *Read = dyn_cast<LValReadExpr>(E)) {
+        if (!Read->LV->isBareVar())
+          return false;
+      } else {
+        return false;
+      }
+      break;
     }
-    break;
+    if (E->Ty && !D.Ty.matches(E->Ty))
+      return false;
   }
-  if (E->Ty && !D->Ty.matches(E->Ty))
-    return false;
-  Out[Name] = Binding{E, nullptr};
+  // An undeclared name (the subject) binds anything; its type was checked
+  // before matching began.
+  Out[S].E = E;
   return true;
 }
 
-bool QualChecker::bindLValue(const Clause &C, const std::string &Name,
-                             const LValue *LV, Bindings &Out) {
-  if (Out.count(Name))
-    return Out[Name].LV == LV;
-  const qual::VarPatternDecl *D = C.findDecl(Name);
-  if (!D)
+bool QualChecker::bindLValue(const Clause &C, uint8_t S, const LValue *LV,
+                             Bindings &Out) {
+  if (Out[S].bound())
+    return Out[S].LV == LV;
+  const qual::SlotDecl &D = C.Slots[S];
+  if (!D.Declared)
     return false;
-  if (D->Cls == Classifier::Var && !LV->isBareVar())
+  if (D.Cls == Classifier::Var && !LV->isBareVar())
     return false;
-  if (D->Cls != Classifier::Var && D->Cls != Classifier::LValue)
+  if (D.Cls != Classifier::Var && D.Cls != Classifier::LValue)
     return false;
-  if (LV->Ty && !D->Ty.matches(LV->Ty))
+  if (LV->Ty && !D.Ty.matches(LV->Ty))
     return false;
-  Out[Name] = Binding{nullptr, LV};
+  Out[S].LV = LV;
   return true;
 }
 
-bool QualChecker::matchExprPattern(const Clause &C, const QualifierDef *Q,
+bool QualChecker::matchExprPattern(const Clause &C, bool BindSubject,
                                    const Expr *E, Bindings &Out) {
   const ExprPattern &P = C.Pattern;
   // Bind the subject first so `case E of E` (tainted) matches anything.
-  if (Q)
-    Out[Q->SubjectVar] = Binding{E, nullptr};
+  if (BindSubject)
+    Out[0].E = E;
   switch (P.K) {
   case ExprPattern::Kind::Var:
-    return bindVar(C, Q, P.X, E, Out);
+    return bindVar(C, C.XSlot, E, Out);
   case ExprPattern::Kind::Deref: {
     const auto *Read = dyn_cast<LValReadExpr>(E);
     if (!Read || !Read->LV->isMem() || !Read->LV->Fields.empty())
       return false;
-    return bindVar(C, Q, P.X, Read->LV->Addr, Out);
+    return bindVar(C, C.XSlot, Read->LV->Addr, Out);
   }
   case ExprPattern::Kind::AddrOf: {
     const auto *Addr = dyn_cast<AddrOfExpr>(E);
     if (!Addr)
       return false;
-    return bindLValue(C, P.X, Addr->LV, Out);
+    return bindLValue(C, C.XSlot, Addr->LV, Out);
   }
   case ExprPattern::Kind::Unary: {
     const auto *Un = dyn_cast<UnaryExpr>(E);
     if (!Un || Un->Op != P.Uop)
       return false;
-    return bindVar(C, Q, P.X, Un->Sub, Out);
+    return bindVar(C, C.XSlot, Un->Sub, Out);
   }
   case ExprPattern::Kind::Binary: {
     const auto *Bin = dyn_cast<BinaryExpr>(E);
     if (!Bin || Bin->Op != P.Bop)
       return false;
-    return bindVar(C, Q, P.X, Bin->LHS, Out) &&
-           bindVar(C, Q, P.Y, Bin->RHS, Out);
+    return bindVar(C, C.XSlot, Bin->LHS, Out) &&
+           bindVar(C, C.YSlot, Bin->RHS, Out);
   }
   case ExprPattern::Kind::New:
   case ExprPattern::Kind::Null:
@@ -246,7 +280,7 @@ bool QualChecker::matchAssignPattern(const Clause &C, const Expr *E,
   }
   default:
     // The subject (the assigned l-value) is not an expression binding here.
-    return matchExprPattern(C, /*Q=*/nullptr, E, Out);
+    return matchExprPattern(C, /*BindSubject=*/false, E, Out);
   }
 }
 
@@ -261,22 +295,21 @@ struct TermValue {
 
 } // namespace
 
-bool QualChecker::evalPred(const Pred &P, const Bindings &B) {
+bool QualChecker::evalPred(const Clause &C, uint32_t I, const Bindings &B) {
+  const qual::SlotPred &P = C.WhereCode[I];
   switch (P.K) {
   case Pred::Kind::True:
     return true;
   case Pred::Kind::And:
-    return evalPred(*P.LHS, B) && evalPred(*P.RHS, B);
+    return evalPred(C, I + 1, B) && evalPred(C, P.RHS, B);
   case Pred::Kind::Or:
-    return evalPred(*P.LHS, B) || evalPred(*P.RHS, B);
-  case Pred::Kind::QualCheck: {
-    auto Found = B.find(P.Var);
-    if (Found == B.end() || !Found->second.E)
+    return evalPred(C, I + 1, B) || evalPred(C, P.RHS, B);
+  case Pred::Kind::QualCheck:
+    if (P.Slot == qual::NoSlot || !B[P.Slot].E)
       return false;
-    return hasQualifier(Found->second.E, P.Qual);
-  }
+    return derive(B[P.Slot].E, P.Qual);
   case Pred::Kind::Compare: {
-    auto Eval = [&](const Pred::Term &T) -> TermValue {
+    auto Eval = [&](const qual::SlotPred::Term &T) -> TermValue {
       TermValue V;
       switch (T.K) {
       case Pred::Term::Kind::Int:
@@ -288,13 +321,13 @@ bool QualChecker::evalPred(const Pred &P, const Bindings &B) {
         V.Valid = true;
         return V;
       case Pred::Term::Kind::Var: {
-        auto Found = B.find(T.Var);
-        if (Found == B.end() || !Found->second.E)
+        const Expr *Bound = T.Slot == qual::NoSlot ? nullptr : B[T.Slot].E;
+        if (!Bound)
           return V;
-        if (const auto *IC = dyn_cast<IntConstExpr>(Found->second.E)) {
+        if (const auto *IC = dyn_cast<IntConstExpr>(Bound)) {
           V.Int = IC->Value;
           V.Valid = true;
-        } else if (isa<NullConstExpr>(Found->second.E)) {
+        } else if (isa<NullConstExpr>(Bound)) {
           V.IsNull = true;
           V.Valid = true;
         }
@@ -339,6 +372,23 @@ bool QualChecker::evalPred(const Pred &P, const Bindings &B) {
 // Assignments
 //===----------------------------------------------------------------------===//
 
+std::string QualChecker::FlowSite::str() const {
+  switch (K) {
+  case Kind::Init:
+    return "initialization of '" + std::string(Name) + "'";
+  case Kind::GlobalInit:
+    return "initialization of global '" + std::string(Name) + "'";
+  case Kind::Assign:
+    return "assignment to '" + printLValue(Target) + "'";
+  case Kind::Arg:
+    return "argument " + std::to_string(Arg + 1) + " of call to '" +
+           std::string(Name) + "'";
+  case Kind::Return:
+    return "return from '" + std::string(Name) + "'";
+  }
+  return "?";
+}
+
 std::vector<const QualifierDef *>
 QualChecker::refQualsOn(TypePtr Ty) const {
   std::vector<const QualifierDef *> Out;
@@ -350,15 +400,15 @@ QualChecker::refQualsOn(TypePtr Ty) const {
 }
 
 void QualChecker::checkAssignmentTo(TypePtr DstTy, const Expr *RHS,
-                                    SourceLoc Loc, const std::string &What,
+                                    SourceLoc Loc, const FlowSite &Site,
                                     const VarDecl *TargetVar) {
   for (const QualifierDef *Q : refQualsOn(DstTy))
-    checkRefAssign(Q, RHS, Loc, What, TargetVar);
-  checkValueQualFlow(DstTy, RHS, Loc, What, TargetVar);
+    checkRefAssign(Q, RHS, Loc, Site, TargetVar);
+  checkValueQualFlow(DstTy, RHS, Loc, Site, TargetVar);
 }
 
 void QualChecker::checkValueQualFlow(TypePtr DstTy, const Expr *RHS,
-                                     SourceLoc Loc, const std::string &What,
+                                     SourceLoc Loc, const FlowSite &Site,
                                      const VarDecl *TargetVar) {
   TypePtr RHSTy = RHS->Ty;
   // Nested qualifier sets must agree exactly: there is no subtyping under
@@ -367,28 +417,28 @@ void QualChecker::checkValueQualFlow(TypePtr DstTy, const Expr *RHS,
       DstTy->isPointer() && !RHSTy->pointee()->isVoid() &&
       !DstTy->pointee()->isVoid() &&
       !Type::equals(RHSTy->pointee(), DstTy->pointee())) {
-    warn(Loc, "qualifier mismatch below pointer type in " + What +
+    warn(Loc, "qualifier mismatch below pointer type in " + Site.str() +
                   ": cannot use '" + RHSTy->str() + "' as '" + DstTy->str() +
                   "' (no subtyping under pointers)");
     return;
   }
   for (const std::string &Name : DstTy->quals()) {
-    const QualifierDef *Q = Quals.find(Name);
-    if (!Q || Q->IsRef)
+    uint32_t QI = Quals.indexOf(Name);
+    if (QI == qual::NoQual || Quals.all()[QI].IsRef)
       continue;
     ++Result.Stats.AssignChecks;
-    if (!hasQualifier(RHS, Q)) {
+    if (!derive(RHS, QI)) {
       ++Result.Stats.AssignFailures;
       Result.Failures.push_back(
           {QualFailure::Kind::Assign, Name, Loc, RHS, TargetVar});
       warn(Loc, "cannot derive qualifier '" + Name + "' for '" +
-                    printExpr(RHS) + "' in " + What);
+                    printExpr(RHS) + "' in " + Site.str());
     }
   }
 }
 
 void QualChecker::checkRefAssign(const QualifierDef *Q, const Expr *RHS,
-                                 SourceLoc Loc, const std::string &What,
+                                 SourceLoc Loc, const FlowSite &Site,
                                  const VarDecl *TargetVar) {
   ++Result.Stats.RefAssignChecks;
   // A cast to a Q-qualified type is an unchecked escape hatch, as with
@@ -403,13 +453,13 @@ void QualChecker::checkRefAssign(const QualifierDef *Q, const Expr *RHS,
     return;
   for (const Clause &C : Q->Assigns) {
     Bindings B;
-    if (matchAssignPattern(C, RHS, B) && evalPred(C.Where, B))
+    if (matchAssignPattern(C, RHS, B) && evalPred(C, 0, B))
       return;
   }
   ++Result.Stats.RefAssignFailures;
   Result.Failures.push_back(
       {QualFailure::Kind::RefAssign, Q->Name, Loc, RHS, TargetVar});
-  warn(Loc, "assignment to '" + Q->Name + "' l-value in " + What +
+  warn(Loc, "assignment to '" + Q->Name + "' l-value in " + Site.str() +
                 " does not match any assign rule of '" + Q->Name +
                 "' (rhs: " + printExpr(RHS) + ")");
 }
@@ -420,19 +470,18 @@ void QualChecker::checkRefAssign(const QualifierDef *Q, const Expr *RHS,
 
 void QualChecker::runRestrictClause(const QualifierDef *Q, const Clause &C,
                                     Bindings &B, SourceLoc Loc,
-                                    const std::string &SiteDesc) {
+                                    const Expr *Site, bool Deref) {
   ++Result.Stats.RestrictChecks;
-  if (evalPred(C.Where, B))
+  if (evalPred(C, 0, B))
     return;
   ++Result.Stats.RestrictFailures;
-  const Expr *Offending = nullptr;
-  auto Bound = B.find(C.Pattern.X);
-  if (Bound != B.end())
-    Offending = Bound->second.E;
+  const Expr *Offending = C.XSlot == qual::NoSlot ? nullptr : B[C.XSlot].E;
   Result.Failures.push_back(
       {QualFailure::Kind::Restrict, Q->Name, Loc, Offending, nullptr});
+  std::string SiteText = Deref ? "dereference of '" + printExpr(Site) + "'"
+                               : "'" + printExpr(Site) + "'";
   warn(Loc, "restrict rule of qualifier '" + Q->Name + "' violated at " +
-                SiteDesc + " (requires " + C.Where.str() + ")");
+                SiteText + " (requires " + C.Where.str() + ")");
 }
 
 void QualChecker::applyRestrictsToDeref(const LValue *LV) {
@@ -442,10 +491,9 @@ void QualChecker::applyRestrictsToDeref(const LValue *LV) {
       if (C.Pattern.K != ExprPattern::Kind::Deref)
         continue;
       Bindings B;
-      if (!bindVar(C, /*Q=*/nullptr, C.Pattern.X, LV->Addr, B))
+      if (!bindVar(C, C.XSlot, LV->Addr, B))
         continue;
-      runRestrictClause(&Q, C, B, LV->Loc,
-                        "dereference of '" + printExpr(LV->Addr) + "'");
+      runRestrictClause(&Q, C, B, LV->Loc, LV->Addr, /*Deref=*/true);
     }
   }
 }
@@ -456,9 +504,9 @@ void QualChecker::applyRestrictsToExpr(const Expr *E) {
       if (C.Pattern.K == ExprPattern::Kind::Deref)
         continue; // Handled at dereference sites.
       Bindings B;
-      if (!matchExprPattern(C, /*Q=*/nullptr, E, B))
+      if (!matchExprPattern(C, /*BindSubject=*/false, E, B))
         continue;
-      runRestrictClause(&Q, C, B, E->Loc, "'" + printExpr(E) + "'");
+      runRestrictClause(&Q, C, B, E->Loc, E, /*Deref=*/false);
     }
   }
 }
@@ -491,7 +539,7 @@ void QualChecker::recordCast(const CastExpr *Cast) {
   RuntimeCastCheck Check;
   Check.Cast = Cast;
   for (const std::string &Name : ValueQuals) {
-    if (hasQualifier(Cast->Sub, Quals.find(Name))) {
+    if (derive(Cast->Sub, Quals.indexOf(Name))) {
       ++Result.Stats.ElidedCastChecks;
       continue;
     }
@@ -595,14 +643,12 @@ void QualChecker::scanCall(const CallExpr *Call) {
   const FuncDecl *Callee = Call->Callee;
   if (!Callee)
     return;
-  if (Callee->Variadic && !Callee->Params.empty() &&
-      Callee->Params[0]->DeclaredTy->hasQual("untainted"))
+  if (isUntaintedFormatFn(Callee))
     ++Result.Stats.FormatStringChecks;
   for (size_t I = 0; I < Call->Args.size() && I < Callee->Params.size(); ++I)
     checkAssignmentTo(Callee->Params[I]->DeclaredTy, Call->Args[I],
                       Call->Args[I]->Loc,
-                      "argument " + std::to_string(I + 1) + " of call to '" +
-                          std::string(Callee->Name) + "'",
+                      {FlowSite::Kind::Arg, Callee->Name, nullptr, I},
                       Callee->Params[I]);
 }
 
@@ -626,8 +672,7 @@ void QualChecker::checkStmt(Stmt *S) {
       scanExpr(Var->Init, false);
     }
     checkAssignmentTo(Var->DeclaredTy, Var->Init, Var->Loc,
-                      "initialization of '" + std::string(Var->Name) + "'",
-                      Var);
+                      {FlowSite::Kind::Init, Var->Name}, Var);
     return;
   }
   case Stmt::Kind::Assign: {
@@ -642,7 +687,7 @@ void QualChecker::checkStmt(Stmt *S) {
     }
     if (Assign->LHS->Ty)
       checkAssignmentTo(Assign->LHS->Ty, Assign->RHS, Assign->Loc,
-                        "assignment to '" + printLValue(Assign->LHS) + "'",
+                        {FlowSite::Kind::Assign, {}, Assign->LHS},
                         Assign->LHS->isBareVar() ? Assign->LHS->Var
                                                  : nullptr);
     return;
@@ -702,7 +747,7 @@ void QualChecker::checkStmt(Stmt *S) {
     assert(CurrentFn && "return outside function");
     if (!CurrentFn->RetTy->isVoid())
       checkAssignmentTo(CurrentFn->RetTy, Ret->Value, Ret->Loc,
-                        "return from '" + std::string(CurrentFn->Name) + "'");
+                        {FlowSite::Kind::Return, CurrentFn->Name});
     return;
   }
   case Stmt::Kind::Break:
@@ -1026,9 +1071,7 @@ CheckResult QualChecker::runGlobals() {
       continue;
     scanExpr(G->Init, false);
     checkAssignmentTo(G->DeclaredTy, G->Init, G->Loc,
-                      "initialization of global '" + std::string(G->Name) +
-                          "'",
-                      G);
+                      {FlowSite::Kind::GlobalInit, G->Name}, G);
   }
   return Result;
 }
@@ -1049,6 +1092,16 @@ CheckResult QualChecker::run() {
 //===----------------------------------------------------------------------===//
 // Convenience pipeline
 //===----------------------------------------------------------------------===//
+
+bool stq::checker::isUntaintedFormatFn(const FuncDecl *F) {
+  for (const VarDecl *P : F->Params) {
+    TypePtr Ty = P->DeclaredTy;
+    if (Ty && Ty->isPointer() && Ty->pointee() && Ty->pointee()->isChar() &&
+        Ty->hasQual("untainted"))
+      return true;
+  }
+  return false;
+}
 
 CheckResult stq::checker::checkSource(const std::string &Source,
                                       const qual::QualifierSet &Quals,

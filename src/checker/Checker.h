@@ -35,6 +35,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace stq::checker {
@@ -107,7 +108,8 @@ struct CheckerStats {
   /// hasQualifier queries answered (including memo hits).
   unsigned HasQualQueries = 0;
   unsigned MemoHits = 0;
-  /// printf-style calls whose format parameter is untainted-qualified.
+  /// Calls to printf-family functions (isUntaintedFormatFn): Table 2's
+  /// "calls" column.
   unsigned FormatStringChecks = 0;
 
   /// Adds every counter of \p O: the one merge behind sharded checking,
@@ -184,7 +186,9 @@ public:
 
   /// Can \p E be given qualifier \p Q? Uses the declared/static type and the
   /// qualifier's case clauses (recursively). Public so tests, the
-  /// annotation driver, and the CQUAL baseline can query it.
+  /// annotation driver, and the CQUAL baseline can query it. \p Q must be
+  /// null or one of the checker's QualifierSet; a null \p Q or an unknown
+  /// name answers false, counted as one query.
   bool hasQualifier(const cminus::Expr *E, const qual::QualifierDef *Q);
   bool hasQualifier(const cminus::Expr *E, const std::string &QualName);
 
@@ -193,8 +197,66 @@ private:
   struct Binding {
     const cminus::Expr *E = nullptr;
     const cminus::LValue *LV = nullptr;
+    bool bound() const { return E || LV; }
   };
-  using Bindings = std::map<std::string, Binding>;
+  /// One clause attempt's bindings, indexed by the clause's compiled slots
+  /// (qual::Clause::XSlot and the rest).
+  using Bindings = Binding[qual::NumSlots];
+
+  /// The (expression, qualifier) queries of one checker, keyed by
+  /// (Expr::Id, qualifier index): each is in progress or answered. One
+  /// open-addressing table serves as both the memo and the in-progress
+  /// set. It starts in inline storage sized for a typical work item, so a
+  /// clean item allocates nothing: it holds 24 entries before it grows,
+  /// and no item of the 1M-line farm needs more than 15.
+  class QueryTable {
+  public:
+    enum class State : uint8_t {
+      Empty,      ///< A free entry.
+      InProgress, ///< On the current derivation's stack.
+      Unstored,   ///< Derived, but the answer consulted an in-progress
+                  ///< query, so it holds only in that context.
+      False,
+      True,
+    };
+    /// The state of (\p Id, \p Qual), inserting Unstored when absent. The
+    /// reference is valid until the next call.
+    State &at(unsigned Id, uint32_t Qual);
+
+  private:
+    struct Entry {
+      unsigned Id = 0;
+      uint32_t Qual = 0;
+      State S = State::Empty;
+    };
+    static constexpr size_t InlineEntries = 32;
+    Entry *entries() { return Heap.empty() ? Inline : Heap.data(); }
+    void grow();
+
+    Entry Inline[InlineEntries] = {};
+    std::vector<Entry> Heap;
+    size_t Capacity = InlineEntries;
+    size_t Used = 0;
+  };
+
+  /// Where a checked value flows. It is rendered ("initialization of 'p'",
+  /// "argument 2 of call to 'f'", ...) only when a check fails.
+  struct FlowSite {
+    enum class Kind { Init, GlobalInit, Assign, Arg, Return };
+    Kind K = Kind::Init;
+    /// The variable (Init, GlobalInit), callee (Arg) or function (Return).
+    std::string_view Name;
+    /// Assign: the target l-value.
+    const cminus::LValue *Target = nullptr;
+    /// Arg: the zero-based argument position.
+    size_t Arg = 0;
+
+    std::string str() const;
+  };
+
+  /// hasQualifier on the qualifier with index \p QI in the set (NoQual for
+  /// one the set does not hold).
+  bool derive(const cminus::Expr *E, uint32_t QI);
 
   void warn(SourceLoc Loc, const std::string &Message);
 
@@ -219,40 +281,44 @@ private:
   /// reference-qualifier assign rules. \p TargetVar is the destination
   /// variable when the target is a bare variable (for failure records).
   void checkAssignmentTo(cminus::TypePtr DstTy, const cminus::Expr *RHS,
-                         SourceLoc Loc, const std::string &What,
+                         SourceLoc Loc, const FlowSite &Site,
                          const cminus::VarDecl *TargetVar = nullptr);
   /// Value-qualifier half of an assignment check.
   void checkValueQualFlow(cminus::TypePtr DstTy,
                           const cminus::Expr *RHS, SourceLoc Loc,
-                          const std::string &What,
+                          const FlowSite &Site,
                           const cminus::VarDecl *TargetVar);
   /// Reference-qualifier half: RHS must satisfy some assign clause of \p Q,
   /// or be an unchecked cast to a Q-qualified type.
   void checkRefAssign(const qual::QualifierDef *Q, const cminus::Expr *RHS,
-                      SourceLoc Loc, const std::string &What,
+                      SourceLoc Loc, const FlowSite &Site,
                       const cminus::VarDecl *TargetVar);
 
   // Pattern matching.
-  /// Matches a case-clause pattern against expression \p E.
-  bool matchExprPattern(const qual::Clause &C, const qual::QualifierDef *Q,
+  /// Matches clause \p C's pattern against expression \p E. A case clause
+  /// (\p BindSubject) first binds the subject, slot 0, to \p E.
+  bool matchExprPattern(const qual::Clause &C, bool BindSubject,
                         const cminus::Expr *E, Bindings &Out);
   /// Matches an assign-clause pattern against RHS \p E (NULL/new allowed).
   bool matchAssignPattern(const qual::Clause &C, const cminus::Expr *E,
                           Bindings &Out);
-  /// Binds variable \p Name to \p E, checking classifier and type pattern.
-  bool bindVar(const qual::Clause &C, const qual::QualifierDef *Q,
-               const std::string &Name, const cminus::Expr *E, Bindings &Out);
-  bool bindLValue(const qual::Clause &C, const std::string &Name,
-                  const cminus::LValue *LV, Bindings &Out);
-  /// Evaluates a where-predicate under \p B.
-  bool evalPred(const qual::Pred &P, const Bindings &B);
+  /// Binds slot \p S to \p E, checking classifier and type pattern.
+  bool bindVar(const qual::Clause &C, uint8_t S, const cminus::Expr *E,
+               Bindings &Out);
+  bool bindLValue(const qual::Clause &C, uint8_t S, const cminus::LValue *LV,
+                  Bindings &Out);
+  /// Evaluates node \p I of \p C's compiled where-predicate under \p B.
+  bool evalPred(const qual::Clause &C, uint32_t I, const Bindings &B);
 
   // Restrict / disallow.
   void applyRestrictsToDeref(const cminus::LValue *LV);
   void applyRestrictsToExpr(const cminus::Expr *E);
+  /// Checks restrict clause \p C at a site whose pattern matched. The site
+  /// is the dereference of \p Site (\p Deref) or the expression \p Site;
+  /// its text is rendered only on failure.
   void runRestrictClause(const qual::QualifierDef *Q, const qual::Clause &C,
-                         Bindings &B, SourceLoc Loc,
-                         const std::string &SiteDesc);
+                         Bindings &B, SourceLoc Loc, const cminus::Expr *Site,
+                         bool Deref);
   /// Reference qualifiers with DisallowRead/DisallowAddrOf present on
   /// \p Ty; returns their definitions.
   std::vector<const qual::QualifierDef *>
@@ -287,10 +353,10 @@ private:
   CheckResult Result;
   cminus::FuncDecl *CurrentFn = nullptr;
 
-  // hasQualifier machinery.
-  using QueryKey = std::pair<unsigned, const qual::QualifierDef *>;
-  std::map<QueryKey, bool> Memo;
-  std::set<QueryKey> InProgress;
+  // hasQualifier machinery. A query that finds itself in progress answers
+  // false (least fixpoint), and a result that consulted such a query is not
+  // stored. The memo keeps nested disjunctive rules linear.
+  QueryTable Queries;
   /// True while the current derivation has consulted an in-progress query;
   /// such results are not memoized (they are valid only in context).
   bool TouchedInProgress = false;
@@ -299,6 +365,10 @@ private:
   /// Active flow-sensitive narrowings: variable -> qualifier names.
   std::map<const cminus::VarDecl *, std::set<std::string>> Narrowed;
 };
+
+/// Does \p F take a `char* untainted` parameter? Such a function belongs to
+/// the printf family whose call sites Table 2 counts.
+bool isUntaintedFormatFn(const cminus::FuncDecl *F);
 
 /// cminus::runFrontEnd(), then one QualChecker::run(): the sequential
 /// reference the work-item loop (Parallel.h) is tested against. Returns the

@@ -2,6 +2,7 @@
 
 #include "eval/PaperEval.h"
 
+#include "checker/Checker.h"
 #include "frontend/Frontend.h"
 #include "qual/QualParser.h"
 #include "support/Json.h"
@@ -197,18 +198,6 @@ void Counter::countStmt(const cminus::Stmt *S, const std::string &Fn) {
   }
 }
 
-/// A function whose signature takes an untainted char* parameter belongs
-/// to the printf family Table 2 counts call sites of.
-bool isUntaintedFormatFn(const cminus::FuncDecl *F) {
-  for (const cminus::VarDecl *P : F->Params) {
-    cminus::TypePtr Ty = P->DeclaredTy;
-    if (Ty && Ty->isPointer() && Ty->pointee() && Ty->pointee()->isChar() &&
-        Ty->hasQual("untainted"))
-      return true;
-  }
-  return false;
-}
-
 void splitLines(const std::string &Text, std::vector<std::string> &Out) {
   std::istringstream In(Text);
   std::string Line;
@@ -299,7 +288,7 @@ EvalRow stq::eval::evalProgram(const ProgramSpec &Spec,
     if (!TU.Program)
       continue;
     for (const cminus::FuncDecl *F : TU.Program->Functions)
-      if (isUntaintedFormatFn(F))
+      if (checker::isUntaintedFormatFn(F))
         Cnt.SinkFns.emplace(F->Name);
   }
   for (const frontend::TUnit &TU : TUs) {

@@ -144,13 +144,119 @@ std::string InvPred::str() const {
   return "?";
 }
 
-void QualifierSet::add(QualifierDef Def) { Defs.push_back(std::move(Def)); }
+namespace {
+
+/// Compiles clause \p C against \p Set (Clause::XSlot and the rest). Slot
+/// 0 holds \p Subject in case clauses (null elsewhere), 1 the pattern's X
+/// and 2 its Y; a name used twice keeps its first slot.
+class ClauseCompiler {
+public:
+  ClauseCompiler(Clause &C, const std::string *Subject,
+                 const QualifierSet &Set)
+      : C(C), Set(Set) {
+    Names[0] = Subject;
+  }
+
+  void run() {
+    const ExprPattern &P = C.Pattern;
+    for (SlotDecl &S : C.Slots)
+      S = SlotDecl();
+    bool HasX = P.K != ExprPattern::Kind::New &&
+                P.K != ExprPattern::Kind::Null;
+    C.XSlot = HasX ? bind(P.X, 1) : NoSlot;
+    C.YSlot = P.K == ExprPattern::Kind::Binary ? bind(P.Y, 2) : NoSlot;
+    C.WhereCode.clear();
+    emit(C.Where);
+  }
+
+private:
+  uint8_t slotOf(const std::string &Name) const {
+    for (uint8_t S = 0; S < NumSlots; ++S)
+      if (Names[S] && *Names[S] == Name)
+        return S;
+    return NoSlot;
+  }
+
+  uint8_t bind(const std::string &Name, uint8_t Fresh) {
+    if (uint8_t S = slotOf(Name); S != NoSlot)
+      return S;
+    Names[Fresh] = &Name;
+    if (const VarPatternDecl *D = C.findDecl(Name))
+      C.Slots[Fresh] = SlotDecl{true, D->Cls, D->Ty};
+    return Fresh;
+  }
+
+  SlotPred::Term term(const Pred::Term &T) const {
+    return {T.K, T.K == Pred::Term::Kind::Var ? slotOf(T.Var) : NoSlot,
+            T.Int};
+  }
+
+  void emit(const Pred &P) {
+    size_t At = C.WhereCode.size();
+    C.WhereCode.emplace_back();
+    C.WhereCode[At].K = P.K;
+    switch (P.K) {
+    case Pred::Kind::True:
+      return;
+    case Pred::Kind::And:
+    case Pred::Kind::Or:
+      emit(*P.LHS);
+      C.WhereCode[At].RHS = static_cast<uint32_t>(C.WhereCode.size());
+      emit(*P.RHS);
+      return;
+    case Pred::Kind::QualCheck:
+      C.WhereCode[At].Slot = slotOf(P.Var);
+      C.WhereCode[At].Qual = Set.indexOf(P.Qual);
+      return;
+    case Pred::Kind::Compare:
+      C.WhereCode[At].CmpOp = P.CmpOp;
+      C.WhereCode[At].A = term(P.A);
+      C.WhereCode[At].B = term(P.B);
+      return;
+    }
+  }
+
+  Clause &C;
+  const QualifierSet &Set;
+  const std::string *Names[NumSlots] = {};
+};
+
+bool hasUnresolvedCheck(const Clause &C) {
+  for (const SlotPred &P : C.WhereCode)
+    if (P.K == Pred::Kind::QualCheck && P.Qual == NoQual)
+      return true;
+  return false;
+}
+
+} // namespace
+
+void QualifierSet::add(QualifierDef Def) {
+  Defs.push_back(std::move(Def));
+  // Compile the new definition, and recompile each earlier clause whose
+  // `where` names a qualifier that was missing (possibly this one: pos
+  // names neg before neg loads).
+  for (QualifierDef &D : Defs) {
+    bool New = &D == &Defs.back();
+    for (Clause &C : D.Cases)
+      if (New || hasUnresolvedCheck(C))
+        ClauseCompiler(C, &D.SubjectVar, *this).run();
+    for (std::vector<Clause> *Block : {&D.Restricts, &D.Assigns})
+      for (Clause &C : *Block)
+        if (New || hasUnresolvedCheck(C))
+          ClauseCompiler(C, nullptr, *this).run();
+  }
+}
+
+uint32_t QualifierSet::indexOf(std::string_view Name) const {
+  for (size_t I = 0; I < Defs.size(); ++I)
+    if (Defs[I].Name == Name)
+      return static_cast<uint32_t>(I);
+  return NoQual;
+}
 
 const QualifierDef *QualifierSet::find(const std::string &Name) const {
-  for (const QualifierDef &D : Defs)
-    if (D.Name == Name)
-      return &D;
-  return nullptr;
+  uint32_t I = indexOf(Name);
+  return I == NoQual ? nullptr : &Defs[I];
 }
 
 std::vector<std::string> QualifierSet::names() const {

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace stq::qual {
@@ -113,6 +114,51 @@ struct Pred {
   std::string str() const;
 };
 
+//===----------------------------------------------------------------------===//
+// Clauses compiled for the checker
+//===----------------------------------------------------------------------===//
+
+/// A clause pattern binds at most three variables: the subject (case
+/// clauses only), X and Y. QualifierSet::add gives each name the pattern or
+/// the `where` predicate uses one of these slots, so the checker binds and
+/// looks up variables by index instead of by name.
+constexpr unsigned NumSlots = 3;
+/// The slot of a name the pattern never binds: a predicate over it is
+/// false.
+constexpr uint8_t NoSlot = 0xff;
+/// The index of a qualifier the set does not hold.
+constexpr uint32_t NoQual = 0xffffffffu;
+
+/// What a slot may bind: its `decl`'s classifier and type pattern. A name
+/// without a `decl` (the subject) binds any node.
+struct SlotDecl {
+  bool Declared = false;
+  Classifier Cls = Classifier::Expr;
+  TypePattern Ty;
+};
+
+/// One node of a compiled `where` predicate. Nodes are stored in preorder:
+/// an And/Or node's left operand is the next node, its right operand
+/// starts at RHS.
+struct SlotPred {
+  struct Term {
+    Pred::Term::Kind K = Pred::Term::Kind::Int;
+    uint8_t Slot = NoSlot;
+    int64_t Int = 0;
+  };
+
+  Pred::Kind K = Pred::Kind::True;
+  uint32_t RHS = 0;
+  /// QualCheck: the checked variable's slot and the qualifier's index in
+  /// the set.
+  uint8_t Slot = NoSlot;
+  uint32_t Qual = NoQual;
+  /// Compare.
+  cminus::BinaryOp CmpOp = cminus::BinaryOp::Eq;
+  Term A;
+  Term B;
+};
+
 /// One clause of a case/restrict/assign block: optional declarations, a
 /// pattern, and an optional `where` predicate.
 struct Clause {
@@ -120,6 +166,14 @@ struct Clause {
   ExprPattern Pattern;
   Pred Where; // Kind::True when absent.
   SourceLoc Loc;
+
+  /// The compiled form, filled in by QualifierSet::add: the slots of the
+  /// pattern's X and Y (NoSlot when the pattern has none), what each slot
+  /// may bind, and `Where` in preorder.
+  uint8_t XSlot = NoSlot;
+  uint8_t YSlot = NoSlot;
+  SlotDecl Slots[NumSlots];
+  std::vector<SlotPred> WhereCode;
 
   const VarPatternDecl *findDecl(const std::string &Name) const;
 };
@@ -210,9 +264,15 @@ struct QualifierDef {
 /// A set of loaded qualifier definitions; lookup by name.
 class QualifierSet {
 public:
+  /// Appends \p Def and compiles its clauses (Clause::XSlot and the rest).
+  /// A `where` check of a qualifier not yet loaded is resolved when that
+  /// qualifier is added. A set is written only while it loads; checkers
+  /// on several threads then read it.
   void add(QualifierDef Def);
 
   const QualifierDef *find(const std::string &Name) const;
+  /// The index in all() of the first definition named \p Name, or NoQual.
+  uint32_t indexOf(std::string_view Name) const;
   const std::vector<QualifierDef> &all() const { return Defs; }
 
   /// All qualifier names (for parser registration).

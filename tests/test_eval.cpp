@@ -104,6 +104,28 @@ TEST(EvalCorpus, TaintCorporaMatchLegacyUntaintedRows) {
   }
 }
 
+TEST(EvalCorpus, CheckerCountsTheCallsColumn) {
+  // check.format_string_checks counts the calls Table 2's "calls" column
+  // counts (TABLES.expected): 134 / 23 / 21.
+  const std::pair<CorpusProgram, unsigned> Rows[] = {
+      {makeBftpdCorpus(), 134}, {makeMingettyCorpus(), 23},
+      {makeIdentdCorpus(), 21}};
+  for (const auto &[C, Calls] : Rows) {
+    ProgramSpec Spec = specFromCorpus(C);
+    SessionOptions O;
+    O.QualSources = {Spec.QualFileText};
+    O.IncludeDirs = Spec.IncludeDirs;
+    O.ShippedFiles = &Spec.Files;
+    std::vector<frontend::InputFile> Inputs;
+    for (const std::string &Unit : Spec.Units)
+      Inputs.push_back({Unit, Spec.Files.at(Unit)});
+    Session S(O);
+    EXPECT_EQ(S.checkFiles(Inputs).Result.Stats.FormatStringChecks, Calls)
+        << C.Name;
+    EXPECT_EQ(evalCorpus(C).PrintfCalls, Calls) << C.Name;
+  }
+}
+
 TEST(EvalCorpus, BftpdExploitSurvivesTheSplit) {
   EvalRow Row = evalCorpus(makeBftpdCorpus());
   EXPECT_EQ(Row.Errors, 1u);
